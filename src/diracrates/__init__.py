@@ -10,7 +10,7 @@ from .correlators import (
     stat_functions_closed,
     trace_pair,
 )
-from .oracle import OracleReport, QuadratureConfig, verify_rates
+from .oracle import OracleReport, verify_rates
 from .rates import (
     RateBreakdown,
     detailed_balance_ratio,
@@ -26,7 +26,6 @@ from .rates import (
 __all__ = [
     "FourVector",
     "OracleReport",
-    "QuadratureConfig",
     "RateBreakdown",
     "StatFunctionPair",
     "TransitionChannel",

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from typing import Literal
 
@@ -18,8 +19,8 @@ class TwoLevelAtom:
     level: Level = "ground"
 
     def __post_init__(self) -> None:
-        if self.omega0 <= 0:
-            raise ValueError(f"omega0 must be positive, got {self.omega0}")
+        if not (0 < self.omega0 < math.inf):
+            raise ValueError(f"omega0 must be positive and finite, got {self.omega0}")
         if self.level not in ("ground", "excited"):
             raise ValueError(f"level must be 'ground' or 'excited', got {self.level!r}")
 

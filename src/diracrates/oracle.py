@@ -1,66 +1,42 @@
 """Numerical verification of the closed-form rates by direct quadrature.
 
-The half-line integrals over the proper-time interval are evaluated
-with panel Gauss-Legendre quadrature at several finite values of the
-regulator, then extrapolated to zero regulator with Neville's scheme.
-This route never touches the residue-derived closed forms, so agreement
-is an independent check.
+Both rates reduce to I(nu) = integral over the real line of
+sinh^-6(a tau/2 - i0) e^{i nu tau} dtau at nu = +-omega_bd.  Moving the
+integration line to Im(a tau/2) = -s, short of the next pole at -i pi,
+makes the -i0 limit exact; on that line the integrand is analytic in a
+strip and decays like e^{-6|u|}, so the plain trapezoidal rule converges
+geometrically (Trefethen & Weideman, SIAM Rev. 56, 2014).  The route
+uses only Cauchy deformation, never the residue sums behind the closed
+forms, so agreement is an independent check.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import rates
-from ._kernels import bracket_integrand
-from .atom import TransitionChannel, TwoLevelAtom, channels
+from .atom import TwoLevelAtom, channels
 
 _PI4 = math.pi**4
 
-# Imaginary part of the numeric integral must be pure roundoff.
-_IMAG_RESIDUE_TOL = 1e-6
+# The line is cut off where the integrand's envelope 64 e^{-6|u|} falls
+# below _TAIL sin^6 s, i.e. _TAIL sin^12 s of the peak 1/sin^6 s: stricter
+# for small s, where the oscillating factor cancels most of the peak.
+_TAIL = 1e-17
+
+# Nodes grow like |omega|/a and cost ~100 bytes each at peak; this many
+# (a/|omega| ~ 5.4e-4) take ~0.3 s and ~100 MB.
+_MAX_NODES = 1_000_000
 
 
 class ConvergenceError(RuntimeError):
-    """Extrapolation residual exceeded the configured tolerance."""
+    """The quadrature cannot meet the tolerance, or its grid would be too large."""
 
     def __init__(self, message: str, diagnostics: dict | None = None):
         super().__init__(message)
         self.diagnostics = diagnostics or {}
-
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Regulator schedule and quadrature density for the oracle.
-
-    epsilons=None picks a schedule scaled to the parameters: geometric
-    {c, c/2, c/4} with c = 0.04 min(1, a/|omega|).  Keeping the
-    regulator comparable to a/omega bounds both the extrapolation
-    residual and the floating-point cancellation across the sharp
-    sinh^-6 peak, which blows up like epsilon^-5.
-    """
-
-    epsilons: tuple[float, ...] | None = None
-    truncation_tol: float = 1e-12
-    nodes_per_unit: int = 200
-    tol: float = 1e-3
-    panel_order: int = 16
-
-    def __post_init__(self) -> None:
-        if self.epsilons is not None:
-            eps = tuple(self.epsilons)
-            if len(eps) < 3:
-                raise ValueError("epsilon schedule needs at least 3 entries")
-            if any(e2 >= e1 for e1, e2 in zip(eps, eps[1:])):
-                raise ValueError("epsilon schedule must be strictly decreasing")
-            if any(e <= 0 for e in eps):
-                raise ValueError("epsilons must be positive")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
-        if self.nodes_per_unit < 1 or self.panel_order < 2:
-            raise ValueError("quadrature density parameters out of range")
 
 
 @dataclass(frozen=True)
@@ -72,172 +48,95 @@ class OracleReport:
     rel_err_vf: float
     rel_err_cross: float
     tol: float
-    per_epsilon: list[dict] = field(default_factory=list)
+    quadrature: dict
 
     @property
     def passed(self) -> bool:
         return self.rel_err_vf < self.tol and self.rel_err_cross < self.tol
 
 
-def default_epsilons(omega_bd: float, a: float) -> tuple[float, float, float]:
-    """Parameter-scaled regulator schedule (see QuadratureConfig)."""
-    c = 0.04 * min(1.0, a / abs(omega_bd))
-    return (c, c / 2.0, c / 4.0)
+def _line_sums(omega: float, a: float) -> tuple[np.ndarray, np.ndarray, dict]:
+    """Trapezoid sums of I(omega) + I(-omega) and I(omega) - I(-omega).
 
-
-def _panel_grid(
-    a: float, omega_bd: float, eps: float, cfg: QuadratureConfig
-) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes/weights on [0, T], graded toward the peak at 0.
-
-    T is chosen so the e^{-3 a dtau} envelope is below truncation_tol of
-    its peak value 64; panels grow geometrically from the peak width
-    2 eps / a up to the base density, which resolves both the 1/a decay
-    scale and the omega_bd oscillation.
+    With a tau/2 = u - i s and z = 2 omega (s + i u)/a,
+    I(+-omega) = (2/a) integral sinh^-6(u - i s) e^{+-z} du,
+    so the sum and difference carry 2 cosh z and 2 sinh z.  Taking
+    sinh z directly keeps the difference accurate for a >> omega, where
+    I(omega) and I(-omega) agree to about log10(a/omega) digits.  The
+    shift s = min(pi/2, 3a/|omega|) keeps |Re z| <= 6; the step h
+    resolves both the distance s to the pole and the oscillation.
+    Returns both sums at steps h and 2h (the even-indexed nodes), and
+    the grid.
     """
-    T = math.log(64.0 / cfg.truncation_tol) / (3.0 * a)
-    h_base = cfg.panel_order / (cfg.nodes_per_unit * max(a, abs(omega_bd)))
-    breaks = [0.0]
-    h = min(eps / a, h_base)
-    pos = 0.0
-    while pos < T:
-        pos = min(pos + h, T)
-        breaks.append(pos)
-        h = min(2.0 * h, h_base)
-
-    xg, wg = np.polynomial.legendre.leggauss(cfg.panel_order)
-    nodes, weights = [], []
-    for lo, hi in zip(breaks[:-1], breaks[1:]):
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        nodes.append(mid + half * xg)
-        weights.append(half * wg)
-    return np.concatenate(nodes), np.concatenate(weights)
-
-
-def _raw_integral(
-    omega_bd: float, a: float, eps: float, antisymmetric: bool, cfg: QuadratureConfig
-) -> complex:
-    """Half-line integral of the bracket times its oscillatory factor."""
-    nodes, weights = _panel_grid(a, omega_bd, eps, cfg)
-    values = bracket_integrand(nodes, a, eps, omega_bd, antisymmetric)
-    return complex(np.sum(weights * values))
-
-
-def extrapolate_epsilon(
-    values: list[float], epsilons: list[float]
-) -> tuple[float, float]:
-    """Neville extrapolation of the regulator schedule to zero.
-
-    Returns the extrapolated value and a residual estimate (distance to
-    the extrapolation with the coarsest regulator dropped).
-    """
-    if len(values) != len(epsilons):
-        raise ValueError("values and epsilons must have equal length")
-    if len(values) < 3:
-        raise ValueError("need at least 3 points to extrapolate")
-
-    def neville(eps: list[float], val: list[float]) -> float:
-        p = list(val)
-        n = len(p)
-        for lv in range(1, n):
-            for i in range(n - lv):
-                p[i] = (eps[i] * p[i + 1] - eps[i + lv] * p[i]) / (
-                    eps[i] - eps[i + lv]
-                )
-        return p[0]
-
-    full = neville(list(epsilons), list(values))
-    reduced = neville(list(epsilons[1:]), list(values[1:]))
-    return full, abs(full - reduced)
-
-
-def _channel_prefactor(channel: TransitionChannel, a: float, mu: float) -> float:
-    return (mu * mu * a**6 / (128.0 * _PI4)) * channel.weight * channel.omega_bd
-
-
-def _integral_with_diagnostics(
-    channel: TransitionChannel,
-    a: float,
-    cfg: QuadratureConfig,
-    mu: float,
-    antisymmetric: bool,
-) -> tuple[float, float, list[tuple[float, float]]]:
-    if a <= 0:
-        raise ValueError(f"acceleration must be positive, got {a}")
-    eps_schedule = cfg.epsilons or default_epsilons(channel.omega_bd, a)
-    pref = _channel_prefactor(channel, a, mu)
-    per_eps = []
-    for eps in eps_schedule:
-        raw = pref * _raw_integral(channel.omega_bd, a, eps, antisymmetric, cfg)
-        if abs(raw.imag) > _IMAG_RESIDUE_TOL * max(abs(raw.real), 1e-300):
-            raise ConvergenceError(
-                f"imaginary residue {raw.imag:.3e} at eps={eps}",
-                {"per_epsilon": per_eps},
-            )
-        per_eps.append((eps, raw.real))
-    value, residual = extrapolate_epsilon(
-        [v for _, v in per_eps], [e for e, _ in per_eps]
-    )
-    if residual > cfg.tol * max(abs(value), 1e-300):
+    s = min(math.pi / 2, 3.0 * a / abs(omega))
+    h = 0.1 * min(s, a / (2.0 * abs(omega)))
+    y = (math.log(64.0 / _TAIL) - 6.0 * math.log(math.sin(s))) / 6.0
+    n = math.ceil(y / (2.0 * h))
+    grid = {"s": s, "h": h, "nodes": 4 * n + 1, "Y": y}
+    if grid["nodes"] > _MAX_NODES:
         raise ConvergenceError(
-            f"extrapolation residual {residual:.3e} exceeds tol "
-            f"{cfg.tol:.1e} x |{value:.6e}|",
-            {"per_epsilon": per_eps, "value": value, "residual": residual},
+            f"quadrature needs {grid['nodes']} nodes, above the limit {_MAX_NODES}",
+            grid,
         )
-    return value, residual, per_eps
-
-
-def vf_integral_numeric(
-    channel: TransitionChannel,
-    a: float,
-    cfg: QuadratureConfig | None = None,
-    mu: float = 1.0,
-) -> float:
-    """Quadrature value of the vacuum-fluctuation rate for one channel."""
-    value, _, _ = _integral_with_diagnostics(
-        channel, a, cfg or QuadratureConfig(), mu, antisymmetric=False
-    )
-    return value
-
-
-def cross_integral_numeric(
-    channel: TransitionChannel,
-    a: float,
-    cfg: QuadratureConfig | None = None,
-    mu: float = 1.0,
-) -> float:
-    """Quadrature value of the cross-term rate for one channel."""
-    value, _, _ = _integral_with_diagnostics(
-        channel, a, cfg or QuadratureConfig(), mu, antisymmetric=True
-    )
-    return value
+    u = h * np.arange(-2 * n, 2 * n + 1)
+    w = np.sinh(u - 1j * s) ** -6
+    z = (2.0 * omega / a) * (s + 1j * u)
+    f = np.stack([w * np.cosh(z), w * np.sinh(z)])
+    t_h = (4.0 / a) * h * f.sum(axis=1)
+    t_2h = (4.0 / a) * 2.0 * h * f[:, ::2].sum(axis=1)
+    return t_h, t_2h, grid
 
 
 def verify_rates(
-    atom: TwoLevelAtom, a: float, mu: float, cfg: QuadratureConfig | None = None
+    atom: TwoLevelAtom, a: float, mu: float, *, tol: float = 1e-3
 ) -> OracleReport:
-    """Compare quadrature and closed-form vf/cross rates for one atom."""
-    cfg = cfg or QuadratureConfig()
-    (ch,) = channels(atom)
-    vf_val, vf_res, vf_eps = _integral_with_diagnostics(
-        ch, a, cfg, mu, antisymmetric=False
-    )
-    cr_val, cr_res, cr_eps = _integral_with_diagnostics(
-        ch, a, cfg, mu, antisymmetric=True
-    )
+    """Compare quadrature and closed-form vf/cross rates for one atom.
+
+    vf    = P [Re I(omega_bd) + Re I(-omega_bd)]
+    cross = P [Re I(omega_bd) - Re I(-omega_bd)]
+    with P = mu^2 a^6 weight omega_bd / (128 pi^4).  Raises
+    ConvergenceError, with the quadrature block as diagnostics, when
+    |T_h - T_2h| of either rate exceeds tol times its value.
+    """
+    if not (0 < a < math.inf):
+        raise ValueError(f"acceleration must be positive and finite, got {a}")
+    if not math.isfinite(mu):
+        raise ValueError(f"coupling must be finite, got {mu}")
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol}")
     closed_vf = rates.rate_vf(atom, a, mu)
     closed_cross = rates.rate_cross(atom, a, mu)
-    per_epsilon = [
-        {"epsilon": e, "vf": v, "cross": c}
-        for (e, v), (_, c) in zip(vf_eps, cr_eps)
-    ]
+    if closed_vf == 0 or closed_cross == 0:
+        raise ValueError(
+            f"rates underflow to zero at omega0={atom.omega0}, a={a}, mu={mu}"
+        )
+    (ch,) = channels(atom)
+    pref = (mu * mu * a**6 / (128.0 * _PI4)) * ch.weight * ch.omega_bd
+    t_h, t_2h, grid = _line_sums(ch.omega_bd, a)
+    vf, cross = (pref * t_h.real).tolist()
+    if not (math.isfinite(vf) and math.isfinite(cross)):
+        raise OverflowError("quadrature value out of double range")
+    vf_2h, cross_2h = (pref * t_2h.real).tolist()
+    quadrature = {
+        **grid,
+        "error_estimate_vf": abs(vf - vf_2h),
+        "error_estimate_cross": abs(cross - cross_2h),
+    }
+    for name, value in (("vf", vf), ("cross", cross)):
+        estimate = quadrature[f"error_estimate_{name}"]
+        if estimate > tol * abs(value):
+            raise ConvergenceError(
+                f"{name} error estimate {estimate:.3e} exceeds tol "
+                f"{tol:.1e} x |{value:.6e}|",
+                quadrature,
+            )
     return OracleReport(
-        numeric_vf=vf_val,
-        numeric_cross=cr_val,
+        numeric_vf=vf,
+        numeric_cross=cross,
         closed_vf=closed_vf,
         closed_cross=closed_cross,
-        rel_err_vf=abs(vf_val - closed_vf) / abs(closed_vf),
-        rel_err_cross=abs(cr_val - closed_cross) / abs(closed_cross),
-        tol=cfg.tol,
-        per_epsilon=per_epsilon,
+        rel_err_vf=abs(vf - closed_vf) / abs(closed_vf),
+        rel_err_cross=abs(cross - closed_cross) / abs(closed_cross),
+        tol=tol,
+        quadrature=quadrature,
     )

@@ -75,24 +75,34 @@ def _channel_cross(ch: TransitionChannel, a: float, mu: float) -> float:
     return -(mu * mu / (120.0 * math.pi**3)) * ch.weight * w**6 * f
 
 
+def _check_inputs(a: float, mu: float) -> None:
+    if not (0 <= a < math.inf):
+        raise ValueError(f"acceleration must be nonnegative and finite, got {a}")
+    if not math.isfinite(mu):
+        raise ValueError(f"coupling must be finite, got {mu}")
+
+
+def _finite(rate: float) -> float:
+    # Float products overflow to inf silently, unlike float powers.
+    if not math.isfinite(rate):
+        raise OverflowError("rate out of double range")
+    return rate
+
+
 def rate_vf(atom: TwoLevelAtom, a: float, mu: float) -> float:
     """Vacuum-fluctuation contribution to d<H_A>/dtau."""
-    if a < 0:
-        raise ValueError(f"acceleration must be nonnegative, got {a}")
-    return sum(_channel_vf(ch, a, mu) for ch in channels(atom))
+    _check_inputs(a, mu)
+    return _finite(sum(_channel_vf(ch, a, mu) for ch in channels(atom)))
 
 
 def rate_cross(atom: TwoLevelAtom, a: float, mu: float) -> float:
     """Cross-term contribution; negative for either initial level."""
-    if a < 0:
-        raise ValueError(f"acceleration must be nonnegative, got {a}")
-    return sum(_channel_cross(ch, a, mu) for ch in channels(atom))
+    _check_inputs(a, mu)
+    return _finite(sum(_channel_cross(ch, a, mu) for ch in channels(atom)))
 
 
 def rate_total(atom: TwoLevelAtom, a: float, mu: float) -> RateBreakdown:
     """Total mean rate of change of the atomic energy with its breakdown."""
-    if a < 0:
-        raise ValueError(f"acceleration must be nonnegative, got {a}")
     vf = rate_vf(atom, a, mu)
     cross = rate_cross(atom, a, mu)
     terms = [
@@ -104,30 +114,37 @@ def rate_total(atom: TwoLevelAtom, a: float, mu: float) -> RateBreakdown:
         for ch in channels(atom)
     ]
     return RateBreakdown(
-        vf=vf, cross=cross, total=vf + cross, coupling=mu, channel_terms=terms
+        vf=vf,
+        cross=cross,
+        total=_finite(vf + cross),
+        coupling=mu,
+        channel_terms=terms,
     )
+
+
+def _check_positive(omega0: float, a: float) -> None:
+    if not (0 < omega0 < math.inf and 0 < a < math.inf):
+        raise ValueError(
+            f"omega0 and a must be positive and finite, got omega0={omega0}, a={a}"
+        )
 
 
 def detailed_balance_ratio(omega0: float, a: float) -> float:
     """Excitation over de-excitation rate magnitude at equal parameters.
 
     Equals n/(1+n) = e^{-2 pi omega0 / a}: the polynomial factor cancels
-    in the quotient, leaving only the occupation number.  Evaluated via
-    that reduction; the quotient of rate_total values agrees but loses
+    in the quotient, leaving only the occupation number.  Evaluated as
+    the exponential; the quotient of rate_total values agrees but loses
     precision to cancellation when the occupation is tiny.
     """
-    if omega0 <= 0 or a <= 0:
-        raise ValueError(
-            f"omega0 and a must be positive, got omega0={omega0}, a={a}"
-        )
-    n = planck_number(omega0, a)
-    return n / (1.0 + n)
+    _check_positive(omega0, a)
+    return math.exp(-2.0 * math.pi * omega0 / a)
 
 
 def effective_temperature(omega0: float, a: float) -> float:
-    """Temperature read off detailed balance; identically a/2pi."""
-    ratio = detailed_balance_ratio(omega0, a)
-    return omega0 / math.log(1.0 / ratio)
+    """Temperature read off detailed balance, omega0 / ln(1/ratio) = a/2pi."""
+    _check_positive(omega0, a)
+    return a / (2.0 * math.pi)
 
 
 def si_acceleration_to_natural(a_si: float) -> float:

@@ -10,8 +10,9 @@ from diracrates.atom import TwoLevelAtom
 
 class TestTwoLevelAtom:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            TwoLevelAtom(omega0=0.0)
+        for omega0 in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                TwoLevelAtom(omega0=omega0)
         with pytest.raises(ValueError):
             TwoLevelAtom(omega0=1.0, level="superposed")
 

@@ -138,27 +138,41 @@ class TestVerify:
         entry = report["entries"][0]
         for key in (
             "accel", "state", "numeric_vf", "closed_vf", "numeric_cross",
-            "closed_cross", "rel_err_vf", "rel_err_cross", "per_epsilon",
+            "closed_cross", "rel_err_vf", "rel_err_cross", "quadrature",
             "passed",
         ):
             assert key in entry
 
     def test_unreachable_tolerance_exit_3(self, capsys):
+        # At a/omega = 10 the trapezoid error estimate is ~1e-8 relative.
         code = run_cli(
-            ["verify", "--accel", "1", "--state", "ground", "--tol", "1e-12"]
+            ["verify", "--accel", "10", "--state", "ground", "--tol", "1e-12"]
         )
         assert code == 3
         assert "CONVERGENCE" in capsys.readouterr().out
 
-    def test_explicit_epsilon_schedule(self, capsys):
+    def test_quadrature_block(self, capsys):
         code = run_cli(
-            ["verify", "--accel", "1", "--state", "excited",
-             "--epsilons", "0.04,0.02,0.01", "--format", "json"]
+            ["verify", "--accel", "1", "--state", "excited", "--format", "json"]
         )
         assert code == 0
+        entry = json.loads(capsys.readouterr().out)["entries"][0]
+        quad = entry["quadrature"]
+        assert set(quad) == {
+            "s", "h", "nodes", "Y", "error_estimate_vf", "error_estimate_cross"
+        }
+        assert quad["s"] == pytest.approx(math.pi / 2)
+        assert quad["error_estimate_vf"] <= 1e-3 * abs(entry["numeric_vf"])
+
+    def test_default_grid_covers_quartic_regime(self, capsys):
+        code = run_cli(["verify", "--format", "json"])
+        assert code == 0
         report = json.loads(capsys.readouterr().out)
-        eps = [p["epsilon"] for p in report["entries"][0]["per_epsilon"]]
-        assert eps == [0.04, 0.02, 0.01]
+        assert 100.0 in {e["accel"] for e in report["entries"]}
+        assert all(
+            max(e["rel_err_vf"], e["rel_err_cross"]) < 1e-9
+            for e in report["entries"]
+        )
 
 
 class TestSelfcheck:
@@ -180,6 +194,12 @@ class TestConfigFile:
         assert out["omega0"] == 2.0
         assert out["state"] == "excited"
 
+    def test_missing_config_exit_1(self, tmp_path, capsys):
+        code = run_cli(["rate", "--config", str(tmp_path / "missing.cfg")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_flags_override_config(self, tmp_path, capsys):
         cfg = tmp_path / "recipe.cfg"
         cfg.write_text("omega0 = 2\naccel = 1\nformat = json\n")
@@ -187,6 +207,31 @@ class TestConfigFile:
         out = json.loads(capsys.readouterr().out)
         assert out["omega0"] == 3.0
         assert out["accel"] == 1.0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rate", "--accel", "nan"],
+        ["rate", "--accel", "inf"],
+        ["rate", "--accel", "1e308"],
+        ["rate", "--omega0", "1e60", "--accel", "1"],
+        ["rate", "--omega0", "nan"],
+        ["rate", "--accel", "1", "--coupling", "inf"],
+        ["rate", "--accel", "1", "--coupling", "1e200"],
+        ["verify", "--accel", "1e50", "--coupling", "1e10"],
+        ["verify", "--accel", "nan"],
+        ["verify", "--omega0", "1e-60", "--accel", "1e-60"],
+    ],
+)
+def test_bad_number_exit_2(argv, capsys):
+    # A traceback here would surface as an exception other than SystemExit.
+    with pytest.raises(SystemExit) as err:
+        run_cli(argv + ["--format", "json"])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
 
 class TestEntryPoint:

@@ -1,150 +1,147 @@
-"""Quadrature oracle: extrapolation, convergence, and closed-form agreement."""
+"""Quadrature oracle: shifted-line grid, convergence, and closed-form agreement."""
+import cmath
 import math
 
-import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diracrates import oracle, rates
-from diracrates.atom import TransitionChannel, TwoLevelAtom
-from diracrates.oracle import ConvergenceError, QuadratureConfig
+from diracrates.atom import TwoLevelAtom
+from diracrates.oracle import ConvergenceError
+
+QUADRATURE_KEYS = {
+    "s", "h", "nodes", "Y", "error_estimate_vf", "error_estimate_cross"
+}
 
 
-class TestQuadratureConfig:
-    def test_schedule_validation(self):
-        with pytest.raises(ValueError):
-            QuadratureConfig(epsilons=(1e-3, 2e-3, 4e-3))
-        with pytest.raises(ValueError):
-            QuadratureConfig(epsilons=(1e-3, 1e-4))
-        with pytest.raises(ValueError):
-            QuadratureConfig(tol=0.0)
+class TestShiftedLine:
+    def test_default_grid(self):
+        for a in (1e-3, 0.1, 1.0, 100.0):
+            _, _, grid = oracle._line_sums(1.0, a)
+            assert oracle._line_sums(-1.0, a)[2] == grid
+            assert grid["s"] == min(math.pi / 2, 3 * a)
+            assert grid["h"] == pytest.approx(0.1 * min(grid["s"], a / 2))
+            assert grid["nodes"] % 4 == 1
 
-    def test_default_epsilons_decreasing(self):
-        eps = oracle.default_epsilons(1.0, 0.3)
-        assert len(eps) == 3
-        assert eps[0] > eps[1] > eps[2] > 0
+    def test_difference_without_cancellation(self):
+        # At a >> omega the two integrals agree to ~log10(a/omega) digits;
+        # the difference must still match the closed form.
+        rep = oracle.verify_rates(TwoLevelAtom(1.0, "ground"), 1e48, 1.0)
+        assert rep.rel_err_cross < 1e-12
 
-
-class TestExtrapolation:
-    def test_linear_trend(self):
-        eps = [0.04, 0.02, 0.01]
-        value, residual = oracle.extrapolate_epsilon(
-            [1 + e for e in eps], eps
-        )
-        assert value == pytest.approx(1.0, abs=1e-12)
-        assert residual < 1e-12
-
-    def test_constant(self):
-        value, _ = oracle.extrapolate_epsilon([2.5, 2.5, 2.5], [0.4, 0.2, 0.1])
-        assert value == pytest.approx(2.5, rel=1e-14)
-
-    def test_quadratic_trend(self):
-        eps = [0.04, 0.02, 0.01]
-        value, _ = oracle.extrapolate_epsilon([2 + 3 * e**2 for e in eps], eps)
-        assert value == pytest.approx(2.0, abs=1e-10)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            oracle.extrapolate_epsilon([1.0, 2.0], [0.1, 0.05, 0.025])
-        with pytest.raises(ValueError):
-            oracle.extrapolate_epsilon([1.0, 2.0], [0.1, 0.05])
+    def test_node_limit(self):
+        with pytest.raises(ConvergenceError) as err:
+            oracle._line_sums(1.0, 1e-5)
+        assert err.value.diagnostics["nodes"] > oracle._MAX_NODES
 
 
 class TestVfIntegral:
     def test_matches_closed_form(self):
-        ch = TransitionChannel(omega_bd=1.0)
-        got = oracle.vf_integral_numeric(ch, 1.0)
+        got = oracle.verify_rates(TwoLevelAtom(1.0, "excited"), 1.0, 1.0).numeric_vf
         expected = rates.rate_vf(TwoLevelAtom(1.0, "excited"), 1.0, 1.0)
-        assert got == pytest.approx(expected, rel=1e-4)
+        assert got == pytest.approx(expected, rel=1e-9)
 
     def test_ratio_across_parameters(self):
-        cfg = QuadratureConfig()
-        ch1 = TransitionChannel(omega_bd=1.0)
-        ch2 = TransitionChannel(omega_bd=2.0)
-        num_ratio = oracle.vf_integral_numeric(
-            ch1, 1.0, cfg
-        ) / oracle.vf_integral_numeric(ch2, 1.0, cfg)
+        num_ratio = (
+            oracle.verify_rates(TwoLevelAtom(1.0, "excited"), 1.0, 1.0).numeric_vf
+            / oracle.verify_rates(TwoLevelAtom(2.0, "excited"), 1.0, 1.0).numeric_vf
+        )
         closed_ratio = rates.rate_vf(
             TwoLevelAtom(1.0, "excited"), 1.0, 1.0
         ) / rates.rate_vf(TwoLevelAtom(2.0, "excited"), 1.0, 1.0)
-        assert num_ratio == pytest.approx(closed_ratio, rel=1e-4)
+        assert num_ratio == pytest.approx(closed_ratio, rel=1e-9)
 
     def test_truncation_point_is_quiet(self):
-        a, eps = 1.0, 0.01
-        cfg = QuadratureConfig()
-        T = math.log(64.0 / cfg.truncation_tol) / (3.0 * a)
-        from diracrates._kernels import bracket_integrand_numpy
-
-        tail = abs(
-            bracket_integrand_numpy(np.array([T]), a, eps, 1.0, False)[0]
-        )
-        peak = abs(
-            bracket_integrand_numpy(np.array([0.0]), a, eps, 1.0, False)[0]
-        )
-        assert tail < cfg.truncation_tol * peak
+        for a in (1e-3, 1.0, 1e6):
+            _, _, grid = oracle._line_sums(1.0, a)
+            s, u_max = grid["s"], (grid["nodes"] // 2) * grid["h"]
+            assert u_max >= grid["Y"]
+            tail = abs(cmath.sinh(u_max - 1j * s)) ** -6
+            peak = abs(cmath.sinh(-1j * s)) ** -6
+            assert tail < 1e-16 * peak
 
 
 class TestCrossIntegral:
     def test_matches_closed_form(self):
-        ch = TransitionChannel(omega_bd=1.0)
-        got = oracle.cross_integral_numeric(ch, 1.0)
+        got = oracle.verify_rates(TwoLevelAtom(1.0, "excited"), 1.0, 1.0).numeric_cross
         expected = rates.rate_cross(TwoLevelAtom(1.0, "excited"), 1.0, 1.0)
-        assert got == pytest.approx(expected, rel=1e-4)
+        assert got == pytest.approx(expected, rel=1e-9)
 
     def test_imaginary_residue_small(self):
-        from diracrates.oracle import _raw_integral
-
-        cfg = QuadratureConfig()
-        for eps in oracle.default_epsilons(1.0, 1.0):
-            raw = _raw_integral(1.0, 1.0, eps, True, cfg)
-            assert abs(raw.imag) < 1e-8 * abs(raw.real)
+        # I(nu) is real: the integrand at -tau is the conjugate of that at tau.
+        for a in (1e-3, 1.0, 1e6):
+            t_h, _, _ = oracle._line_sums(1.0, a)
+            assert all(abs(t_h.imag) < 1e-12 * abs(t_h.real))
 
     def test_negative_and_level_independent(self):
-        cfg = QuadratureConfig()
-        down = oracle.cross_integral_numeric(TransitionChannel(1.0), 1.0, cfg)
-        up = oracle.cross_integral_numeric(TransitionChannel(-1.0), 1.0, cfg)
-        assert down < 0
-        assert up == pytest.approx(down, rel=1e-4)
+        down = oracle.verify_rates(TwoLevelAtom(1.0, "excited"), 1.0, 1.0)
+        up = oracle.verify_rates(TwoLevelAtom(1.0, "ground"), 1.0, 1.0)
+        assert down.numeric_cross < 0
+        assert up.numeric_cross == pytest.approx(down.numeric_cross, rel=1e-12)
 
 
 class TestVerifyRates:
-    @pytest.mark.parametrize("a", [0.1, 1.0, 10.0])
+    @pytest.mark.parametrize("a", [0.1, 1.0, 10.0, 100.0, 1e4, 1e6])
     @pytest.mark.parametrize("level", ["ground", "excited"])
     def test_passes_default_grid_points(self, a, level):
         rep = oracle.verify_rates(TwoLevelAtom(1.0, level), a, 1.0)
         assert rep.passed
-        assert rep.rel_err_vf < 1e-4
-        assert rep.rel_err_cross < 1e-4
-        assert len(rep.per_epsilon) == 3
+        assert rep.rel_err_vf < 1e-9
+        assert rep.rel_err_cross < 1e-9
+        assert set(rep.quadrature) == QUADRATURE_KEYS
+
+    def test_tol_validation(self):
+        for tol in (0.0, -1e-3, math.nan):
+            with pytest.raises(ValueError):
+                oracle.verify_rates(TwoLevelAtom(1.0, "ground"), 1.0, 1.0, tol=tol)
+
+    @pytest.mark.parametrize("a, mu", [(0.0, 1.0), (math.nan, 1.0),
+                                       (math.inf, 1.0), (1.0, math.nan)])
+    def test_invalid_inputs(self, a, mu):
+        with pytest.raises(ValueError):
+            oracle.verify_rates(TwoLevelAtom(1.0, "ground"), a, mu)
 
     def test_unreachable_tolerance_raises(self):
-        cfg = QuadratureConfig(tol=1e-12)
+        # At a/omega = 10 the 2h sum is off by ~1e-8; no tolerance below
+        # that can be met.
         with pytest.raises(ConvergenceError) as err:
-            oracle.verify_rates(TwoLevelAtom(1.0, "ground"), 1.0, 1.0, cfg)
-        assert "residual" in str(err.value)
-        assert err.value.diagnostics
+            oracle.verify_rates(TwoLevelAtom(1.0, "ground"), 10.0, 1.0, tol=1e-12)
+        assert "error estimate" in str(err.value)
+        assert set(err.value.diagnostics) == QUADRATURE_KEYS
 
     def test_node_halving_stability(self):
-        ch = TransitionChannel(omega_bd=1.0)
-        base_cfg = QuadratureConfig(nodes_per_unit=200)
-        fine_cfg = QuadratureConfig(nodes_per_unit=400)
-        v_base, residual, _ = oracle._integral_with_diagnostics(
-            ch, 1.0, base_cfg, 1.0, antisymmetric=False
-        )
-        v_fine = oracle.vf_integral_numeric(ch, 1.0, fine_cfg)
-        assert abs(v_fine - v_base) < 0.1 * residual
+        # The h-step value lies within |T_h - T_2h| of the closed form.
+        rep = oracle.verify_rates(TwoLevelAtom(1.0, "ground"), 10.0, 1.0)
+        q = rep.quadrature
+        assert abs(rep.numeric_vf - rep.closed_vf) < q["error_estimate_vf"]
+        assert abs(rep.numeric_cross - rep.closed_cross) < q["error_estimate_cross"]
 
     def test_thermal_structure(self):
         # Numeric vf divided by the inertial-scale magnitude reproduces
         # the (1 + 2n) occupation structure at a = omega0.
         omega0 = a = mu = 1.0
-        ch = TransitionChannel(omega_bd=omega0)
-        numeric = oracle.vf_integral_numeric(ch, a, mu=mu)
+        numeric = oracle.verify_rates(TwoLevelAtom(omega0, "excited"), a, mu).numeric_vf
         base = -(mu**2 / (480 * math.pi**3)) * rates.polynomial_factor(omega0, a)
         n = rates.planck_number(omega0, a)
-        assert numeric / base == pytest.approx(1 + 2 * n, rel=1e-3)
+        assert numeric / base == pytest.approx(1 + 2 * n, rel=1e-9)
 
     def test_coupling_scaling(self):
-        ch = TransitionChannel(omega_bd=1.0)
-        assert oracle.vf_integral_numeric(ch, 1.0, mu=2.0) == pytest.approx(
-            4 * oracle.vf_integral_numeric(ch, 1.0, mu=1.0), rel=1e-12
+        atom = TwoLevelAtom(1.0, "excited")
+        assert oracle.verify_rates(atom, 1.0, 2.0).numeric_vf == pytest.approx(
+            4 * oracle.verify_rates(atom, 1.0, 1.0).numeric_vf, rel=1e-12
         )
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(
+        log_ratio=st.floats(min_value=-3.0, max_value=6.0),
+        log_omega0=st.floats(min_value=-1.0, max_value=1.0),
+        level=st.sampled_from(["ground", "excited"]),
+    )
+    def test_matches_closed_forms_log_uniform(self, log_ratio, log_omega0, level):
+        omega0 = 10.0**log_omega0
+        rep = oracle.verify_rates(
+            TwoLevelAtom(omega0, level), omega0 * 10.0**log_ratio, 1.0
+        )
+        assert rep.rel_err_vf < 1e-9
+        assert rep.rel_err_cross < 1e-9

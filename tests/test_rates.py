@@ -125,6 +125,15 @@ class TestRateTotal:
         assert rb.vf == -rb.cross
         assert rb.vf > 0
 
+    @pytest.mark.parametrize(
+        "a, mu", [(math.nan, 1.0), (math.inf, 1.0), (-1.0, 1.0), (1.0, math.nan)]
+    )
+    def test_invalid_inputs_rejected(self, a, mu):
+        atom = TwoLevelAtom(1.0, "ground")
+        for fn in (rates.rate_vf, rates.rate_cross, rates.rate_total):
+            with pytest.raises(ValueError):
+                fn(atom, a, mu)
+
     def test_radiation_reaction_annotation(self):
         rb = rates.rate_total(TwoLevelAtom(1.0, "ground"), 1.0, 1.0)
         assert rb.radiation_reaction == 0.0
@@ -148,6 +157,7 @@ class TestDetailedBalance:
         assert rates.detailed_balance_ratio(1.0, 3.0) == pytest.approx(
             math.exp(-2 * math.pi / 3.0), rel=1e-12
         )
+        assert rates.detailed_balance_ratio(1.0, 1e-3) == 0.0
 
     def test_rate_total_quotient_agrees(self):
         omega0, a = 1.0, 3.0
@@ -158,8 +168,11 @@ class TestDetailedBalance:
         )
 
     def test_invalid(self):
-        with pytest.raises(ValueError):
-            rates.detailed_balance_ratio(0.0, 1.0)
+        for omega0, a in [(0.0, 1.0), (math.nan, 1.0), (1.0, math.inf)]:
+            with pytest.raises(ValueError):
+                rates.detailed_balance_ratio(omega0, a)
+            with pytest.raises(ValueError):
+                rates.effective_temperature(omega0, a)
 
 
 class TestEffectiveTemperature:
@@ -170,6 +183,10 @@ class TestEffectiveTemperature:
         assert rates.effective_temperature(3.0, 1.0) == pytest.approx(
             1 / (2 * math.pi), rel=1e-12
         )
+        for a in (1e-3, 1e12):
+            assert rates.effective_temperature(1.0, a) == pytest.approx(
+                a / (2 * math.pi), rel=1e-15
+            )
 
     def test_frequency_independent(self):
         assert rates.effective_temperature(1.0, 4.0) == pytest.approx(
