@@ -1,7 +1,7 @@
 """Rates of a uniformly accelerated two-level atom coupled quadratically
 to vacuum Dirac field fluctuations, with an independent quadrature oracle."""
 
-from .atom import TransitionChannel, TwoLevelAtom, channels
+from .atom import TwoLevelAtom
 from .clifford import FourVector, boost_matrix, gamma_matrix, slash
 from .correlators import (
     StatFunctionPair,
@@ -28,11 +28,9 @@ __all__ = [
     "OracleReport",
     "RateBreakdown",
     "StatFunctionPair",
-    "TransitionChannel",
     "TwoLevelAtom",
     "WorldlineParams",
     "boost_matrix",
-    "channels",
     "detailed_balance_ratio",
     "effective_temperature",
     "gamma_matrix",

@@ -1,4 +1,4 @@
-"""Two-level atom model: transition channels and susceptibility functions."""
+"""Two-level atom model: the single transition and susceptibility functions."""
 from __future__ import annotations
 
 import cmath
@@ -24,38 +24,20 @@ class TwoLevelAtom:
         if self.level not in ("ground", "excited"):
             raise ValueError(f"level must be 'ground' or 'excited', got {self.level!r}")
 
-
-@dataclass(frozen=True)
-class TransitionChannel:
-    """Signed transition frequency omega_b - omega_d and matrix-element weight."""
-
-    omega_bd: float
-    weight: float = CHANNEL_WEIGHT
-
-
-def channels(atom: TwoLevelAtom) -> list[TransitionChannel]:
-    """Transition channels from the atom's initial level.
-
-    Kept as a list so rate sums read like the general multi-level sum,
-    though a two-level atom has exactly one channel.
-    """
-    sign = 1.0 if atom.level == "excited" else -1.0
-    return [TransitionChannel(omega_bd=sign * atom.omega0)]
+    @property
+    def omega_bd(self) -> float:
+        """Signed transition frequency omega_b - omega_d from the initial level:
+        +omega0 down from the excited level, -omega0 up from the ground one."""
+        return self.omega0 if self.level == "excited" else -self.omega0
 
 
 def susceptibility_c(atom: TwoLevelAtom, dtau: float) -> complex:
     """Symmetric atomic susceptibility, even in dtau."""
-    return 0.5 * sum(
-        ch.weight
-        * (cmath.exp(1j * ch.omega_bd * dtau) + cmath.exp(-1j * ch.omega_bd * dtau))
-        for ch in channels(atom)
-    )
+    w = atom.omega_bd
+    return 0.5 * CHANNEL_WEIGHT * (cmath.exp(1j * w * dtau) + cmath.exp(-1j * w * dtau))
 
 
 def susceptibility_chi(atom: TwoLevelAtom, dtau: float) -> complex:
     """Antisymmetric atomic susceptibility, odd in dtau; sign flips with level."""
-    return 0.5 * sum(
-        ch.weight
-        * (cmath.exp(1j * ch.omega_bd * dtau) - cmath.exp(-1j * ch.omega_bd * dtau))
-        for ch in channels(atom)
-    )
+    w = atom.omega_bd
+    return 0.5 * CHANNEL_WEIGHT * (cmath.exp(1j * w * dtau) - cmath.exp(-1j * w * dtau))

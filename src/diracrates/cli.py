@@ -26,6 +26,11 @@ DEFAULT_VERIFY_RATIOS = (0.1, 0.3, 1.0, 3.0, 10.0, 100.0)
 
 SWEEP_HEADER = "accel,rate_vf,rate_cross,rate_total,poly_factor,planck_n,T_eff"
 
+# The source-field-only contribution is higher order in the coupling; `rate`
+# reports it as 0 with this note.
+RADIATION_REACTION = 0.0
+RADIATION_REACTION_NOTE = "order mu^3, neglected"
+
 
 def _machine(x: float) -> str:
     return format(x, ".17g")
@@ -65,25 +70,11 @@ def _resolve_accel(args, config) -> float:
     return _resolve(args, config, "accel", 0.0)
 
 
-def _rate_fields(omega0, accel, coupling, state):
-    atom = TwoLevelAtom(omega0, state)
+def _row(atom: TwoLevelAtom, accel: float, coupling: float) -> tuple[float, ...]:
+    """One point in the order of SWEEP_HEADER."""
     rb = rates.rate_total(atom, accel, coupling)
-    term = rb.channel_terms[0]
     t_eff = accel / (2.0 * math.pi)
-    return {
-        "omega0": omega0,
-        "accel": accel,
-        "coupling": coupling,
-        "state": state,
-        "rate_vf": rb.vf,
-        "rate_cross": rb.cross,
-        "rate_total": rb.total,
-        "radiation_reaction": rb.radiation_reaction,
-        "radiation_reaction_note": rb.radiation_reaction_note,
-        "poly_factor": term.poly_factor,
-        "planck_n": term.planck_n,
-        "effective_temperature": t_eff,
-    }
+    return accel, rb.vf, rb.cross, rb.total, rb.poly_factor, rb.planck_n, t_eff
 
 
 def cmd_rate(args, config) -> int:
@@ -92,7 +83,23 @@ def cmd_rate(args, config) -> int:
     coupling = _resolve(args, config, "coupling", 1.0)
     state = _resolve(args, config, "state", "ground", cast=str)
     fmt = _resolve(args, config, "format", "human", cast=str)
-    fields = _rate_fields(omega0, accel, coupling, state)
+    _, vf, cross, total, poly, planck_n, t_eff = _row(
+        TwoLevelAtom(omega0, state), accel, coupling
+    )
+    fields = {
+        "omega0": omega0,
+        "accel": accel,
+        "coupling": coupling,
+        "state": state,
+        "rate_vf": vf,
+        "rate_cross": cross,
+        "rate_total": total,
+        "radiation_reaction": RADIATION_REACTION,
+        "radiation_reaction_note": RADIATION_REACTION_NOTE,
+        "poly_factor": poly,
+        "planck_n": planck_n,
+        "effective_temperature": t_eff,
+    }
 
     if fmt == "json":
         print(json.dumps(fields, indent=2))
@@ -151,25 +158,19 @@ def cmd_sweep(args, config) -> int:
         raise ValueError("need accel_min >= 0, accel_max > accel_min, points >= 2")
 
     atom = TwoLevelAtom(omega0, state)
-    lines = [SWEEP_HEADER]
-    for a in _sweep_grid(amin, amax, points, scale):
-        rb = rates.rate_total(atom, a, coupling)
-        term = rb.channel_terms[0]
-        t_eff = a / (2.0 * math.pi)
-        lines.append(
-            ",".join(
-                _machine(v)
-                for v in (
-                    a, rb.vf, rb.cross, rb.total, term.poly_factor,
-                    term.planck_n, t_eff,
-                )
-            )
-        )
-    text = "\n".join(lines) + "\n"
+    # Every row is computed before anything is written, so an error leaves
+    # no partial output.
+    template = ",".join(["%.17g"] * 7) + "\n"
+    lines = [SWEEP_HEADER + "\n"]
+    lines += [
+        template % _row(atom, a, coupling)
+        for a in _sweep_grid(amin, amax, points, scale)
+    ]
     if output:
-        Path(output).write_text(text)
+        with open(output, "w") as fh:
+            fh.writelines(lines)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(lines)
     return EXIT_OK
 
 

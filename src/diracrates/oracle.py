@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rates
-from .atom import TwoLevelAtom, channels
+from .atom import CHANNEL_WEIGHT, TwoLevelAtom
 
 _PI4 = math.pi**4
 
@@ -70,12 +70,16 @@ def _line_sums(omega: float, a: float) -> tuple[np.ndarray, np.ndarray, dict]:
     """
     s = min(math.pi / 2, 3.0 * a / abs(omega))
     h = 0.1 * min(s, a / (2.0 * abs(omega)))
-    y = (math.log(64.0 / _TAIL) - 6.0 * math.log(math.sin(s))) / 6.0
-    n = math.ceil(y / (2.0 * h))
-    grid = {"s": s, "h": h, "nodes": 4 * n + 1, "Y": y}
-    if grid["nodes"] > _MAX_NODES:
+    # For subnormal a, h underflows to 0 or the node count leaves float
+    # range; a quantity with no float value is reported as null.
+    y = (math.log(64.0 / _TAIL) - 6.0 * math.log(math.sin(s))) / 6.0 if h > 0 else None
+    half = y / (2.0 * h) if h > 0 else math.inf
+    n = math.ceil(half) if half < math.inf else None
+    grid = {"s": s, "h": h, "nodes": None if n is None else 4 * n + 1, "Y": y}
+    if n is None or grid["nodes"] > _MAX_NODES:
         raise ConvergenceError(
-            f"quadrature needs {grid['nodes']} nodes, above the limit {_MAX_NODES}",
+            f"quadrature needs {grid['nodes'] or 'over 1e308'} nodes, "
+            f"above the limit {_MAX_NODES}",
             grid,
         )
     u = h * np.arange(-2 * n, 2 * n + 1)
@@ -102,17 +106,16 @@ def verify_rates(
         raise ValueError(f"acceleration must be positive and finite, got {a}")
     if not math.isfinite(mu):
         raise ValueError(f"coupling must be finite, got {mu}")
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not (0 < tol < math.inf):
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     closed_vf = rates.rate_vf(atom, a, mu)
     closed_cross = rates.rate_cross(atom, a, mu)
     if closed_vf == 0 or closed_cross == 0:
         raise ValueError(
             f"rates underflow to zero at omega0={atom.omega0}, a={a}, mu={mu}"
         )
-    (ch,) = channels(atom)
-    pref = (mu * mu * a**6 / (128.0 * _PI4)) * ch.weight * ch.omega_bd
-    t_h, t_2h, grid = _line_sums(ch.omega_bd, a)
+    pref = (mu * mu * a**6 / (128.0 * _PI4)) * CHANNEL_WEIGHT * atom.omega_bd
+    t_h, t_2h, grid = _line_sums(atom.omega_bd, a)
     vf, cross = (pref * t_h.real).tolist()
     if not (math.isfinite(vf) and math.isfinite(cross)):
         raise OverflowError("quadrature value out of double range")

@@ -9,23 +9,14 @@ throughout; energies per unit proper time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .atom import TransitionChannel, TwoLevelAtom, channels
+from .atom import CHANNEL_WEIGHT, TwoLevelAtom
 
 SPEED_OF_LIGHT = 2.99792458e8  # m/s
 
-# e^x overflows double precision beyond this; thermal factor is 0 there.
-_EXP_OVERFLOW = 745.0
-
-_RR_NOTE = "order mu^3, neglected"
-
-
-@dataclass(frozen=True)
-class ChannelTerm:
-    omega_bd: float
-    poly_factor: float
-    planck_n: float
+# Inertial rates are mu^2 weight omega0^6 / _RATE_DENOM.
+_RATE_DENOM = 120.0 * math.pi**3
 
 
 @dataclass(frozen=True)
@@ -34,10 +25,8 @@ class RateBreakdown:
     cross: float
     total: float
     coupling: float
-    channel_terms: list[ChannelTerm] = field(default_factory=list)
-    # Source-field-only contribution; higher order in the coupling.
-    radiation_reaction: float = 0.0
-    radiation_reaction_note: str = _RR_NOTE
+    poly_factor: float
+    planck_n: float
 
 
 def polynomial_factor(omega: float, a: float) -> float:
@@ -51,28 +40,23 @@ def polynomial_factor(omega: float, a: float) -> float:
 
 
 def planck_number(omega: float, a: float) -> float:
-    """Thermal occupation 1/(e^{2 pi omega / a} - 1) at temperature a/2pi."""
+    """Thermal occupation 1/(e^{2 pi omega / a} - 1) at temperature a/2pi.
+
+    Beyond the range of expm1 (2 pi omega / a > ~709.78) this is
+    e^{-2 pi omega / a} to double precision, subnormal and then 0.
+    """
     if omega <= 0 or a <= 0:
         raise ValueError(f"omega and a must be positive, got omega={omega}, a={a}")
     x = 2.0 * math.pi * omega / a
-    if x > _EXP_OVERFLOW:
-        return 0.0
-    return 1.0 / math.expm1(x)
-
-
-def _channel_vf(ch: TransitionChannel, a: float, mu: float) -> float:
-    w = abs(ch.omega_bd)
-    f = polynomial_factor(w, a)
-    n = planck_number(w, a) if a > 0 else 0.0
-    mag = (mu * mu / (120.0 * math.pi**3)) * ch.weight * w**6 * f * (1.0 + 2.0 * n)
-    # Downward channels (omega_bd > 0) drain energy, upward ones feed it.
-    return -mag if ch.omega_bd > 0 else mag
-
-
-def _channel_cross(ch: TransitionChannel, a: float, mu: float) -> float:
-    w = abs(ch.omega_bd)
-    f = polynomial_factor(w, a)
-    return -(mu * mu / (120.0 * math.pi**3)) * ch.weight * w**6 * f
+    try:
+        n = 1.0 / math.expm1(x)
+    except OverflowError:  # expm1 overflows beyond x ~ 709.78
+        return math.exp(-x)
+    except ZeroDivisionError:  # x underflowed to 0
+        n = math.inf
+    if n == math.inf:
+        raise OverflowError("thermal occupation out of double range")
+    return n
 
 
 def _check_inputs(a: float, mu: float) -> None:
@@ -89,36 +73,47 @@ def _finite(rate: float) -> float:
     return rate
 
 
+def _closed_forms(
+    atom: TwoLevelAtom, a: float, mu: float
+) -> tuple[float, float, float, float, float]:
+    """poly_factor, planck_n, vf, cross and total at one point, each once.
+
+    The rates are not checked for overflow; each caller checks the ones
+    it returns.
+    """
+    _check_inputs(a, mu)
+    w = atom.omega0
+    f = polynomial_factor(w, a)
+    n = planck_number(w, a) if a > 0 else 0.0
+    base = (mu * mu / _RATE_DENOM) * CHANNEL_WEIGHT * w**6 * f
+    mag = base * (1.0 + 2.0 * n)
+    # The downward transition (excited) drains energy, the upward one feeds
+    # it.  0.0 - x rather than -x keeps a zero rate +0.0.
+    vf = 0.0 - mag if atom.omega_bd > 0 else mag
+    cross = 0.0 - base
+    return f, n, vf, cross, vf + cross
+
+
 def rate_vf(atom: TwoLevelAtom, a: float, mu: float) -> float:
     """Vacuum-fluctuation contribution to d<H_A>/dtau."""
-    _check_inputs(a, mu)
-    return _finite(sum(_channel_vf(ch, a, mu) for ch in channels(atom)))
+    return _finite(_closed_forms(atom, a, mu)[2])
 
 
 def rate_cross(atom: TwoLevelAtom, a: float, mu: float) -> float:
     """Cross-term contribution; negative for either initial level."""
-    _check_inputs(a, mu)
-    return _finite(sum(_channel_cross(ch, a, mu) for ch in channels(atom)))
+    return _finite(_closed_forms(atom, a, mu)[3])
 
 
 def rate_total(atom: TwoLevelAtom, a: float, mu: float) -> RateBreakdown:
     """Total mean rate of change of the atomic energy with its breakdown."""
-    vf = rate_vf(atom, a, mu)
-    cross = rate_cross(atom, a, mu)
-    terms = [
-        ChannelTerm(
-            omega_bd=ch.omega_bd,
-            poly_factor=polynomial_factor(abs(ch.omega_bd), a),
-            planck_n=planck_number(abs(ch.omega_bd), a) if a > 0 else 0.0,
-        )
-        for ch in channels(atom)
-    ]
+    f, n, vf, cross, total = _closed_forms(atom, a, mu)
     return RateBreakdown(
-        vf=vf,
-        cross=cross,
-        total=_finite(vf + cross),
+        vf=_finite(vf),
+        cross=_finite(cross),
+        total=_finite(total),
         coupling=mu,
-        channel_terms=terms,
+        poly_factor=f,
+        planck_n=n,
     )
 
 

@@ -1,4 +1,6 @@
 """Command-line surface: formats, exit codes, determinism, config files."""
+import contextlib
+import io
 import json
 import math
 import os
@@ -6,12 +8,21 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diracrates import cli
 
 
 def run_cli(argv):
     return cli.main(argv)
+
+
+def strict_json(text):
+    """Parse JSON, refusing the NaN/Infinity extensions."""
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+    return json.loads(text, parse_constant=refuse)
 
 
 class TestRate:
@@ -58,6 +69,18 @@ class TestRate:
         )
         out = json.loads(capsys.readouterr().out)
         assert out["accel"] == pytest.approx(3e24 / 2.99792458e8)
+
+    def test_radiation_reaction_annotation(self, capsys):
+        run_cli(["rate", "--accel", "1", "--format", "json"])
+        out = json.loads(capsys.readouterr().out)
+        assert out["radiation_reaction"] == 0.0
+        assert "mu^3" in out["radiation_reaction_note"]
+
+    def test_beyond_expm1_range(self, capsys):
+        code = run_cli(["rate", "--accel", "0.0086", "--format", "json"])
+        assert code == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["planck_n"] == math.exp(-2 * math.pi / 0.0086) > 0
 
     def test_usage_error_exit_2(self, capsys):
         with pytest.raises(SystemExit) as err:
@@ -113,6 +136,52 @@ class TestSweep:
             )
             assert code == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_crosses_expm1_band(self, capsys):
+        # 2 pi omega0 / a runs through expm1's overflow (709.78, 745].
+        code = run_cli(
+            ["sweep", "--omega0", "1", "--accel-min", "0", "--accel-max", "0.009",
+             "--points", "2001"]
+        )
+        assert code == 0
+        rows = [r.split(",") for r in capsys.readouterr().out.splitlines()[2:]]
+        assert len(rows) == 2000
+        band = [r for r in rows if 709.78 < 2 * math.pi / float(r[0]) <= 745]
+        assert len(band) > 50
+        for r in band:
+            assert float(r[5]) == math.exp(-2 * math.pi / float(r[0])) > 0
+
+    @pytest.mark.parametrize("state", ["ground", "excited"])
+    @pytest.mark.parametrize(
+        "grid",
+        [["--accel-min", "0", "--accel-max", "30"],
+         ["--accel-min", "0.01", "--accel-max", "1e6", "--scale", "log"]],
+    )
+    def test_row_matches_rate_csv(self, grid, state, capsys):
+        # Both commands build their numbers in one place; the sweep's %.17g
+        # template must print them as `rate` does.
+        common = ["--omega0", "3.7", "--coupling", "0.3", "--state", state]
+        run_cli(["sweep", "--points", "7"] + grid + common)
+        rows = capsys.readouterr().out.splitlines()[1:]
+        keys = ["accel", "rate_vf", "rate_cross", "rate_total", "poly_factor",
+                "planck_n", "effective_temperature"]
+        for row in rows:
+            fields = row.split(",")
+            run_cli(["rate", "--accel", fields[0], "--format", "csv"] + common)
+            header, line = capsys.readouterr().out.splitlines()
+            as_rate = dict(zip(header.split(","), line.split(",")))
+            assert [as_rate[k] for k in keys] == fields
+
+    def test_error_leaves_no_output(self, tmp_path):
+        # The rates overflow part-way through the grid.
+        out = tmp_path / "sweep.csv"
+        with pytest.raises(SystemExit) as err:
+            run_cli(
+                ["sweep", "--accel-min", "0", "--accel-max", "1e3", "--points", "5",
+                 "--coupling", "1e150", "--output", str(out)]
+            )
+        assert err.value.code == 2
+        assert not out.exists()
 
     def test_io_failure_exit_1(self, tmp_path, capsys):
         code = run_cli(
@@ -174,6 +243,17 @@ class TestVerify:
             for e in report["entries"]
         )
 
+    @pytest.mark.parametrize("accel", ["5e-324", "1e-320"])
+    def test_subnormal_accel_node_limit(self, accel, capsys):
+        # The step h underflows or the node count leaves float range.
+        code = run_cli(
+            ["verify", "--accel", accel, "--state", "ground", "--format", "json"]
+        )
+        assert code == 3
+        (entry,) = strict_json(capsys.readouterr().out)["entries"]
+        assert "above the limit" in entry["error"]
+        assert entry["diagnostics"]["nodes"] is None
+
 
 class TestSelfcheck:
     def test_passes(self, capsys):
@@ -222,6 +302,13 @@ class TestConfigFile:
         ["verify", "--accel", "1e50", "--coupling", "1e10"],
         ["verify", "--accel", "nan"],
         ["verify", "--omega0", "1e-60", "--accel", "1e-60"],
+        # 2 pi omega0 / a underflows to 0: the rates are infinite.
+        ["rate", "--omega0", "1e-200", "--accel", "1e200"],
+        ["rate", "--omega0", "1e-300", "--accel", "1e30"],
+        ["sweep", "--omega0", "1e-300", "--accel-min", "0", "--accel-max", "1e30",
+         "--points", "2"],
+        ["verify", "--omega0", "1e-300", "--accel", "1e30"],
+        ["verify", "--accel", "1", "--tol", "inf"],
     ],
 )
 def test_bad_number_exit_2(argv, capsys):
@@ -232,6 +319,47 @@ def test_bad_number_exit_2(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
+# Drawn often on purpose; st.floats() alone reaches each only rarely.
+EDGE_FLOATS = [math.nan, math.inf, -math.inf, 0.0, 5e-324, 1e-320, 1e-300,
+               1.0, 1e300, 1e308, sys.float_info.max]
+NUMERIC_FLAGS = {
+    "rate": ["--omega0", "--coupling", "--accel", "--si-accel"],
+    "sweep": ["--omega0", "--coupling", "--accel-min", "--accel-max"],
+    "verify": ["--omega0", "--coupling", "--accel", "--tol"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(NUMERIC_FLAGS))
+@settings(max_examples=200, database=None, deadline=None)
+@given(data=st.data(), fmt=st.sampled_from(["json", "csv", "human"]))
+def test_any_float_gives_documented_exit(command, data, fmt):
+    # Each numeric flag is omitted or takes any float (nan, inf and
+    # subnormals included), alone or in combination.  A traceback would
+    # surface here as an exception other than SystemExit.
+    argv = [command, "--format", fmt]
+    if command == "sweep":
+        argv += ["--points", "3"]
+    if command == "verify":
+        argv += ["--state", "ground"]
+    for flag in NUMERIC_FLAGS[command]:
+        value = data.draw(
+            st.none() | st.sampled_from(EDGE_FLOATS) | st.floats(), label=flag
+        )
+        if value is not None:
+            argv.append(f"{flag}={value!r}")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2, 3, 4)
+    if code in (1, 2):
+        assert err.getvalue().startswith(("error:", "usage:"))
+    if command != "sweep" and fmt == "json" and code in (0, 3):
+        strict_json(out.getvalue())
 
 
 class TestEntryPoint:

@@ -35,6 +35,15 @@ class TestShiftedLine:
             oracle._line_sums(1.0, 1e-5)
         assert err.value.diagnostics["nodes"] > oracle._MAX_NODES
 
+    @pytest.mark.parametrize("a", [5e-324, 1e-320])
+    def test_node_limit_subnormal_accel(self, a):
+        # h underflows to 0 (5e-324) or Y/2h overflows (1e-320): the count
+        # has no float value and is reported as None.
+        with pytest.raises(ConvergenceError, match="above the limit") as err:
+            oracle.verify_rates(TwoLevelAtom(1.0, "ground"), a, 1.0)
+        assert err.value.diagnostics["nodes"] is None
+        assert set(err.value.diagnostics) == {"s", "h", "nodes", "Y"}
+
 
 class TestVfIntegral:
     def test_matches_closed_form(self):
@@ -92,7 +101,7 @@ class TestVerifyRates:
         assert set(rep.quadrature) == QUADRATURE_KEYS
 
     def test_tol_validation(self):
-        for tol in (0.0, -1e-3, math.nan):
+        for tol in (0.0, -1e-3, math.nan, math.inf):
             with pytest.raises(ValueError):
                 oracle.verify_rates(TwoLevelAtom(1.0, "ground"), 1.0, 1.0, tol=tol)
 

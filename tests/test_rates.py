@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diracrates import rates
 from diracrates.atom import TwoLevelAtom
@@ -40,6 +42,19 @@ class TestPlanckNumber:
         assert rates.planck_number(1.0, 2 * math.pi) == pytest.approx(
             1 / (math.e - 1), rel=1e-14
         )
+
+    def test_beyond_expm1_range(self):
+        # expm1 overflows for 2 pi omega / a above ~709.78; n is e^{-x} there.
+        assert rates.planck_number(1.0, 0.0086) == math.exp(-2 * math.pi / 0.0086) > 0
+        assert rates.planck_number(1.0, 2 * math.pi / 709.7) == pytest.approx(
+            math.exp(-709.7), rel=1e-12
+        )
+
+    def test_occupation_overflow(self):
+        # 2 pi omega / a underflows to 0, or its reciprocal overflows.
+        for omega, a in [(1e-200, 1e200), (1e-310, 1.0)]:
+            with pytest.raises(OverflowError):
+                rates.planck_number(omega, a)
 
     def test_invalid(self):
         with pytest.raises(ValueError):
@@ -120,6 +135,18 @@ class TestRateTotal:
         totals = [rates.rate_total(atom, a, 1.0).total for a in grid]
         assert all(t2 > t1 for t1, t2 in zip(totals, totals[1:]))
 
+    def test_breakdown_factors(self):
+        for a in (0.0, 0.0086, 1.0, 1e3):
+            rb = rates.rate_total(TwoLevelAtom(1.7, "excited"), a, 1.0)
+            assert rb.poly_factor == rates.polynomial_factor(1.7, a)
+            assert rb.planck_n == (rates.planck_number(1.7, a) if a > 0 else 0.0)
+
+    def test_zero_coupling_gives_positive_zero(self):
+        for level in ("ground", "excited"):
+            rb = rates.rate_total(TwoLevelAtom(1.0, level), 1.0, 0.0)
+            for value in (rb.vf, rb.cross, rb.total):
+                assert math.copysign(1.0, value) == 1.0
+
     def test_inertial_cancellation(self):
         rb = rates.rate_total(TwoLevelAtom(1.0, "ground"), 0.0, 1.0)
         assert rb.vf == -rb.cross
@@ -133,11 +160,6 @@ class TestRateTotal:
         for fn in (rates.rate_vf, rates.rate_cross, rates.rate_total):
             with pytest.raises(ValueError):
                 fn(atom, a, mu)
-
-    def test_radiation_reaction_annotation(self):
-        rb = rates.rate_total(TwoLevelAtom(1.0, "ground"), 1.0, 1.0)
-        assert rb.radiation_reaction == 0.0
-        assert "mu^3" in rb.radiation_reaction_note
 
 
 class TestDetailedBalance:
@@ -206,3 +228,43 @@ class TestSiConversion:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             rates.si_acceleration_to_natural(-1.0)
+
+
+# Log-uniform a/omega0 and omega0; mu away from 0 so the rates do not underflow.
+# Below a/omega0 ~ 0.3 the ground total vf + cross is mostly rounding.
+log_ratio = st.floats(min_value=-0.5, max_value=6.0)
+log_omega0 = st.floats(min_value=-1.0, max_value=1.0)
+coupling = st.floats(min_value=1e-3, max_value=1e3)
+
+
+class TestProperties:
+    @settings(max_examples=100, database=None, deadline=None)
+    @given(st.floats(min_value=0.0, max_value=6.0), log_omega0, coupling)
+    def test_detailed_balance_quotient(self, log_ratio, log_omega0, mu):
+        # The ground total base (1 + 2n) - base loses ~1e-16/n relative to
+        # cancellation; from a = omega0 on, n > 1.8e-3 keeps that below 1e-13.
+        omega0 = 10.0**log_omega0
+        a = omega0 * 10.0**log_ratio
+        up = rates.rate_total(TwoLevelAtom(omega0, "ground"), a, mu).total
+        down = rates.rate_total(TwoLevelAtom(omega0, "excited"), a, mu).total
+        assert up / abs(down) == pytest.approx(
+            rates.detailed_balance_ratio(omega0, a), rel=1e-12
+        )
+
+    @settings(max_examples=100, database=None, deadline=None)
+    @given(
+        st.floats(min_value=0.0, max_value=1e6),
+        log_omega0,
+        coupling,
+        st.sampled_from(["ground", "excited"]),
+    )
+    def test_cross_negative(self, a, log_omega0, mu, level):
+        assert rates.rate_cross(TwoLevelAtom(10.0**log_omega0, level), a, mu) < 0
+
+    @settings(max_examples=100, database=None, deadline=None)
+    @given(log_ratio, st.floats(min_value=1e-3, max_value=10.0), log_omega0)
+    def test_ground_total_monotone(self, log_ratio, step, log_omega0):
+        atom = TwoLevelAtom(10.0**log_omega0, "ground")
+        a = atom.omega0 * 10.0**log_ratio
+        lower = rates.rate_total(atom, a, 1.0).total
+        assert rates.rate_total(atom, a * (1.0 + step), 1.0).total > lower
