@@ -24,12 +24,28 @@ EXIT_IDENTITY = 4
 # acceleration is given.
 DEFAULT_VERIFY_RATIOS = (0.1, 0.3, 1.0, 3.0, 10.0, 100.0)
 
+STATES = ("ground", "excited")
+
 SWEEP_HEADER = "accel,rate_vf,rate_cross,rate_total,poly_factor,planck_n,T_eff"
 
 # The source-field-only contribution is higher order in the coupling; `rate`
 # reports it as 0 with this note.
 RADIATION_REACTION = 0.0
 RADIATION_REACTION_NOTE = "order mu^3, neglected"
+
+RATE_CSV_KEYS = (
+    "omega0", "accel", "coupling", "state", "rate_vf", "rate_cross",
+    "rate_total", "poly_factor", "planck_n", "effective_temperature",
+)
+# (label, field) of each line of `rate`'s human output.
+RATE_HUMAN_LINES = (
+    ("state", "state"), ("omega0", "omega0"), ("accel", "accel"),
+    ("coupling", "coupling"), ("rate_vf", "rate_vf"),
+    ("rate_cross", "rate_cross"), ("rate_total", "rate_total"),
+    ("radiation_reaction", "radiation_reaction"),
+    ("poly_factor", "poly_factor"), ("planck_n", "planck_n"),
+    ("T_eff", "effective_temperature"),
+)
 
 
 def _machine(x: float) -> str:
@@ -40,34 +56,43 @@ def _human(x: float) -> str:
     return format(x, ".6g")
 
 
-def _load_config(path: str) -> dict[str, str]:
-    cfg = {}
-    for line in Path(path).read_text().splitlines():
+def _text(value, number_format) -> str:
+    return value if isinstance(value, str) else number_format(value)
+
+
+def _si_accel(text: str) -> float:
+    """Type of --si-accel: m/s^2 in, the natural scale a/c in 1/s out."""
+    try:
+        return rates.si_acceleration_to_natural(float(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(exc) from None
+
+
+def _with_config(argv: list[str]) -> list[str]:
+    """argv with each `key = value` line of its --config file inserted as
+    `--key=value` right after the command, so that the parser checks config
+    values like flags and a flag on the command line wins."""
+    # A one-flag parser finds --config first: the full parser would stop on
+    # a required flag the file supplies.
+    finder = argparse.ArgumentParser(add_help=False)
+    finder.add_argument("--config", nargs="?")
+    path = finder.parse_known_args(argv)[0].config
+    if not path:
+        return argv
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise OSError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    flags = []
+    for line in text.splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        if "=" not in line:
+        key, sep, value = line.partition("=")
+        if not sep:
             raise ValueError(f"bad config line: {line!r}")
-        key, _, value = line.partition("=")
-        cfg[key.strip().replace("-", "_")] = value.strip()
-    return cfg
-
-
-def _resolve(args: argparse.Namespace, config: dict, key: str, default, cast=float):
-    """Flag value if given, else config file value, else default."""
-    flag = getattr(args, key, None)
-    if flag is not None:
-        return flag
-    if key in config:
-        return cast(config[key])
-    return default
-
-
-def _resolve_accel(args, config) -> float:
-    si = _resolve(args, config, "si_accel", None)
-    if si is not None:
-        return rates.si_acceleration_to_natural(si)
-    return _resolve(args, config, "accel", 0.0)
+        flags.append(f"--{key.strip().replace('_', '-')}={value.strip()}")
+    return argv[:1] + flags + argv[1:]
 
 
 def _row(atom: TwoLevelAtom, accel: float, coupling: float) -> tuple[float, ...]:
@@ -77,20 +102,15 @@ def _row(atom: TwoLevelAtom, accel: float, coupling: float) -> tuple[float, ...]
     return accel, rb.vf, rb.cross, rb.total, rb.poly_factor, rb.planck_n, t_eff
 
 
-def cmd_rate(args, config) -> int:
-    omega0 = _resolve(args, config, "omega0", 1.0)
-    accel = _resolve_accel(args, config)
-    coupling = _resolve(args, config, "coupling", 1.0)
-    state = _resolve(args, config, "state", "ground", cast=str)
-    fmt = _resolve(args, config, "format", "human", cast=str)
+def cmd_rate(args) -> int:
     _, vf, cross, total, poly, planck_n, t_eff = _row(
-        TwoLevelAtom(omega0, state), accel, coupling
+        TwoLevelAtom(args.omega0, args.state), args.accel, args.coupling
     )
     fields = {
-        "omega0": omega0,
-        "accel": accel,
-        "coupling": coupling,
-        "state": state,
+        "omega0": args.omega0,
+        "accel": args.accel,
+        "coupling": args.coupling,
+        "state": args.state,
         "rate_vf": vf,
         "rate_cross": cross,
         "rate_total": total,
@@ -101,35 +121,17 @@ def cmd_rate(args, config) -> int:
         "effective_temperature": t_eff,
     }
 
-    if fmt == "json":
+    if args.format == "json":
         print(json.dumps(fields, indent=2))
-    elif fmt == "csv":
-        keys = [
-            "omega0", "accel", "coupling", "state", "rate_vf", "rate_cross",
-            "rate_total", "poly_factor", "planck_n", "effective_temperature",
-        ]
-        print(",".join(keys))
-        print(
-            ",".join(
-                fields[k] if isinstance(fields[k], str) else _machine(fields[k])
-                for k in keys
-            )
-        )
+    elif args.format == "csv":
+        print(",".join(RATE_CSV_KEYS))
+        print(",".join(_text(fields[k], _machine) for k in RATE_CSV_KEYS))
     else:
-        print(f"state                {fields['state']}")
-        print(f"omega0               {_human(fields['omega0'])}")
-        print(f"accel                {_human(fields['accel'])}")
-        print(f"coupling             {_human(fields['coupling'])}")
-        print(f"rate_vf              {_human(fields['rate_vf'])}")
-        print(f"rate_cross           {_human(fields['rate_cross'])}")
-        print(f"rate_total           {_human(fields['rate_total'])}")
-        print(
-            f"radiation_reaction   {_human(fields['radiation_reaction'])}"
-            f"  ({fields['radiation_reaction_note']})"
-        )
-        print(f"poly_factor          {_human(fields['poly_factor'])}")
-        print(f"planck_n             {_human(fields['planck_n'])}")
-        print(f"T_eff                {_human(fields['effective_temperature'])}")
+        for label, key in RATE_HUMAN_LINES:
+            line = f"{label:21s}{_text(fields[key], _human)}"
+            if key == "radiation_reaction":
+                line += f"  ({RADIATION_REACTION_NOTE})"
+            print(line)
     return EXIT_OK
 
 
@@ -142,48 +144,35 @@ def _sweep_grid(amin: float, amax: float, points: int, scale: str) -> list[float
     return [amin + (amax - amin) * i / (points - 1) for i in range(points)]
 
 
-def cmd_sweep(args, config) -> int:
-    omega0 = _resolve(args, config, "omega0", 1.0)
-    coupling = _resolve(args, config, "coupling", 1.0)
-    state = _resolve(args, config, "state", "ground", cast=str)
-    amin = _resolve(args, config, "accel_min", 0.0)
-    amax = _resolve(args, config, "accel_max", None)
-    points = int(_resolve(args, config, "points", 50, cast=int))
-    scale = _resolve(args, config, "scale", "linear", cast=str)
-    output = _resolve(args, config, "output", None, cast=str)
-
-    if amax is None:
-        raise ValueError("--accel-max is required for sweep")
+def cmd_sweep(args) -> int:
+    amin, amax, points = args.accel_min, args.accel_max, args.points
     if not (amax > amin >= 0) or points < 2:
         raise ValueError("need accel_min >= 0, accel_max > accel_min, points >= 2")
 
-    atom = TwoLevelAtom(omega0, state)
+    atom = TwoLevelAtom(args.omega0, args.state)
     # Every row is computed before anything is written, so an error leaves
     # no partial output.
     template = ",".join(["%.17g"] * 7) + "\n"
     lines = [SWEEP_HEADER + "\n"]
     lines += [
-        template % _row(atom, a, coupling)
-        for a in _sweep_grid(amin, amax, points, scale)
+        template % _row(atom, a, args.coupling)
+        for a in _sweep_grid(amin, amax, points, args.scale)
     ]
-    if output:
-        with open(output, "w") as fh:
+    if args.output:
+        with open(args.output, "w") as fh:
             fh.writelines(lines)
     else:
         sys.stdout.writelines(lines)
     return EXIT_OK
 
 
-def cmd_verify(args, config) -> int:
-    omega0 = _resolve(args, config, "omega0", 1.0)
-    coupling = _resolve(args, config, "coupling", 1.0)
-    accel = _resolve(args, config, "accel", None)
-    state = _resolve(args, config, "state", None, cast=str)
-    tol = _resolve(args, config, "tol", 1e-3)
-    fmt = _resolve(args, config, "format", "human", cast=str)
-
-    accels = [accel] if accel is not None else [r * omega0 for r in DEFAULT_VERIFY_RATIOS]
-    states = [state] if state else ["ground", "excited"]
+def cmd_verify(args) -> int:
+    omega0, coupling, tol = args.omega0, args.coupling, args.tol
+    if args.accel is None:
+        accels = [r * omega0 for r in DEFAULT_VERIFY_RATIOS]
+    else:
+        accels = [args.accel]
+    states = [args.state] if args.state else STATES
 
     entries = []
     all_pass = True
@@ -215,7 +204,7 @@ def cmd_verify(args, config) -> int:
             )
             all_pass = all_pass and rep.passed
 
-    if fmt == "json":
+    if args.format == "json":
         print(
             json.dumps(
                 {"omega0": omega0, "coupling": coupling, "tol": tol,
@@ -241,7 +230,7 @@ def cmd_verify(args, config) -> int:
     return EXIT_OK if all_pass else EXIT_VERIFY
 
 
-def cmd_selfcheck(args, config) -> int:
+def cmd_selfcheck(args) -> int:
     results = selfcheck.run_all()
     for r in results:
         status = "pass" if r.passed else "FAIL"
@@ -268,45 +257,50 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--omega0", type=float, help="level splitting (energy)")
-        p.add_argument("--coupling", type=float, help="coupling constant mu")
-        p.add_argument("--config", help="key=value config file; flags override")
+    def common(p, formats=()):
         p.add_argument(
-            "--format", choices=["human", "json", "csv"], help="output format"
+            "--omega0", type=float, default=1.0, help="level splitting (energy)"
         )
+        p.add_argument(
+            "--coupling", type=float, default=1.0, help="coupling constant mu"
+        )
+        p.add_argument("--config", help="key=value config file; flags override")
+        if formats:
+            p.add_argument(
+                "--format", choices=formats, default="human", help="output format"
+            )
 
     p_rate = sub.add_parser("rate", help="single-point rate breakdown")
-    common(p_rate)
-    p_rate.add_argument("--accel", type=float, help="proper acceleration")
+    common(p_rate, ["human", "json", "csv"])
+    p_rate.add_argument("--accel", type=float, default=0.0, help="proper acceleration")
+    # Writes the same value as --accel, whose default stands; the later wins.
     p_rate.add_argument(
-        "--si-accel", type=float, dest="si_accel",
+        "--si-accel", type=_si_accel, dest="accel", metavar="SI_ACCEL",
         help="proper acceleration in m/s^2 (converted to 1/s)",
     )
-    p_rate.add_argument("--state", choices=["ground", "excited"])
+    p_rate.add_argument("--state", choices=STATES, default="ground")
     p_rate.set_defaults(func=cmd_rate)
 
     p_sweep = sub.add_parser("sweep", help="acceleration sweep to CSV")
     common(p_sweep)
-    p_sweep.add_argument("--accel-min", type=float, dest="accel_min")
-    p_sweep.add_argument("--accel-max", type=float, dest="accel_max")
-    p_sweep.add_argument("--points", type=int)
-    p_sweep.add_argument("--scale", choices=["linear", "log"])
-    p_sweep.add_argument("--state", choices=["ground", "excited"])
+    p_sweep.add_argument("--accel-min", type=float, default=0.0)
+    p_sweep.add_argument("--accel-max", type=float, required=True)
+    p_sweep.add_argument("--points", type=int, default=50)
+    p_sweep.add_argument("--scale", choices=["linear", "log"], default="linear")
+    p_sweep.add_argument("--state", choices=STATES, default="ground")
     p_sweep.add_argument("--output", help="CSV output path (default stdout)")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_verify = sub.add_parser(
         "verify", help="compare closed forms against the quadrature oracle"
     )
-    common(p_verify)
+    common(p_verify, ["human", "json"])
     p_verify.add_argument("--accel", type=float, help="single acceleration")
-    p_verify.add_argument("--state", choices=["ground", "excited"])
-    p_verify.add_argument("--tol", type=float, help="relative tolerance")
+    p_verify.add_argument("--state", choices=STATES)
+    p_verify.add_argument("--tol", type=float, default=1e-3, help="relative tolerance")
     p_verify.set_defaults(func=cmd_verify)
 
     p_check = sub.add_parser("selfcheck", help="run algebra identity suites")
-    common(p_check)
     p_check.set_defaults(func=cmd_selfcheck)
 
     return parser
@@ -314,10 +308,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        config = _load_config(args.config) if args.config else {}
-        return args.func(args, config)
+        args = parser.parse_args(_with_config(argv))
+        return args.func(args)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

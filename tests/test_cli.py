@@ -4,8 +4,10 @@ import io
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -288,6 +290,116 @@ class TestConfigFile:
         assert out["omega0"] == 3.0
         assert out["accel"] == 1.0
 
+    def test_sweep_config(self, tmp_path, capsys):
+        # --accel-max is required; the file may supply it.
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("omega0 = 1.3\naccel-min = 0.1\naccel_max = 50\n"
+                       "points = 7\nscale = log\nstate = excited\n")
+        assert run_cli(["sweep", "--config", str(cfg)]) == 0
+        from_config = capsys.readouterr().out
+        run_cli(["sweep", "--omega0", "1.3", "--accel-min", "0.1", "--accel-max",
+                 "50", "--points", "7", "--scale", "log", "--state", "excited"])
+        assert from_config == capsys.readouterr().out
+        assert len(from_config.splitlines()) == 8
+
+    def test_verify_config(self, tmp_path, capsys):
+        cfg = tmp_path / "verify.cfg"
+        cfg.write_text("omega0 = 2\naccel = 3\nstate = ground\ntol = 1e-6\n"
+                       "format = json\n")
+        assert run_cli(["verify", "--config", str(cfg)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert (report["omega0"], report["tol"]) == (2.0, 1e-6)
+        assert [(e["accel"], e["state"]) for e in report["entries"]] == [
+            (3.0, "ground")
+        ]
+
+    def test_flag_after_config_si_accel(self, tmp_path, capsys):
+        cfg = tmp_path / "recipe.cfg"
+        cfg.write_text("si_accel = 2.99792458e8\nformat = json\n")
+        run_cli(["rate", "--config", str(cfg)])
+        assert json.loads(capsys.readouterr().out)["accel"] == 1.0
+        run_cli(["rate", "--config", str(cfg), "--accel", "5"])
+        assert json.loads(capsys.readouterr().out)["accel"] == 5.0
+
+    @pytest.mark.parametrize(
+        "flags, accel",
+        [(["--accel", "5", "--si-accel", "2.99792458e8"], 1.0),
+         (["--si-accel", "2.99792458e8", "--accel", "5"], 5.0)],
+    )
+    def test_later_of_accel_and_si_accel_wins(self, flags, accel, capsys):
+        run_cli(["rate", "--format", "json"] + flags)
+        assert json.loads(capsys.readouterr().out)["accel"] == accel
+
+    @pytest.mark.parametrize(
+        "command, line, named",
+        [(["sweep", "--accel-max", "10"], "scale = Log", "'Log'"),
+         (["rate"], "format = xml", "'xml'"),
+         (["rate"], "omega_0 = 5", "--omega-0=5"),
+         (["rate"], "accel = fast", "'fast'"),
+         (["verify"], "format = csv", "'csv'")],
+    )
+    def test_config_checked_like_flags(self, command, line, named, tmp_path, capsys):
+        cfg = tmp_path / "recipe.cfg"
+        cfg.write_text(line + "\n")
+        with pytest.raises(SystemExit) as err:
+            run_cli(command + ["--config", str(cfg)])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert named in captured.err.splitlines()[-1]
+
+    def test_bad_config_line_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "recipe.cfg"
+        cfg.write_text("omega0 = 2\njusttext\n")
+        with pytest.raises(SystemExit) as err:
+            run_cli(["rate", "--config", str(cfg)])
+        assert err.value.code == 2
+        assert capsys.readouterr().err == "error: bad config line: 'justtext'\n"
+
+    def test_non_utf8_config_exit_1(self, tmp_path, capsys):
+        cfg = tmp_path / "recipe.cfg"
+        cfg.write_bytes("omega0 = 2\nstate = excité\n".encode("latin-1"))
+        assert run_cli(["rate", "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+        assert str(cfg) in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--accel-max", "1", "--format", "json"],
+        ["selfcheck", "--omega0", "2"],
+        ["selfcheck", "--coupling", "2"],
+        ["selfcheck", "--format", "human"],
+        ["selfcheck", "--config", "recipe.cfg"],
+        ["verify", "--accel", "1", "--state", "ground", "--format", "csv"],
+    ],
+)
+def test_flags_a_command_does_not_read_exit_2(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "recipe.cfg").write_text("omega0 = 2\n")
+    with pytest.raises(SystemExit) as err:
+        run_cli(argv)
+    assert err.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+def readme_cli_commands():
+    """Each `diracrates ...` command in README's CLI code block."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(c, comments=True)[1:] for c in commands
+            if c.startswith("diracrates ")]
+
+
+@pytest.mark.parametrize("argv", readme_cli_commands(), ids=" ".join)
+def test_readme_cli_examples(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(argv) == 0
+
 
 @pytest.mark.parametrize(
     "argv",
@@ -313,8 +425,11 @@ class TestConfigFile:
 )
 def test_bad_number_exit_2(argv, capsys):
     # A traceback here would surface as an exception other than SystemExit.
+    # sweep has no --format flag; it always writes CSV.
+    if argv[0] != "sweep":
+        argv = argv + ["--format", "json"]
     with pytest.raises(SystemExit) as err:
-        run_cli(argv + ["--format", "json"])
+        run_cli(argv)
     assert err.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -324,6 +439,8 @@ def test_bad_number_exit_2(argv, capsys):
 # Drawn often on purpose; st.floats() alone reaches each only rarely.
 EDGE_FLOATS = [math.nan, math.inf, -math.inf, 0.0, 5e-324, 1e-320, 1e-300,
                1.0, 1e300, 1e308, sys.float_info.max]
+FORMATS = {"rate": ["json", "csv", "human"], "sweep": [None],
+           "verify": ["json", "human"]}
 NUMERIC_FLAGS = {
     "rate": ["--omega0", "--coupling", "--accel", "--si-accel"],
     "sweep": ["--omega0", "--coupling", "--accel-min", "--accel-max"],
@@ -333,20 +450,24 @@ NUMERIC_FLAGS = {
 
 @pytest.mark.parametrize("command", sorted(NUMERIC_FLAGS))
 @settings(max_examples=200, database=None, deadline=None)
-@given(data=st.data(), fmt=st.sampled_from(["json", "csv", "human"]))
-def test_any_float_gives_documented_exit(command, data, fmt):
+@given(data=st.data())
+def test_any_float_gives_documented_exit(command, data):
     # Each numeric flag is omitted or takes any float (nan, inf and
     # subnormals included), alone or in combination.  A traceback would
-    # surface here as an exception other than SystemExit.
-    argv = [command, "--format", fmt]
+    # surface here as an exception other than SystemExit.  The format is
+    # one the command takes and sweep's required --accel-max is always
+    # given, so that no example stops at argparse for want of a flag.
+    fmt = data.draw(st.sampled_from(FORMATS[command]), label="--format")
+    argv = [command] if fmt is None else [command, "--format", fmt]
     if command == "sweep":
         argv += ["--points", "3"]
     if command == "verify":
         argv += ["--state", "ground"]
     for flag in NUMERIC_FLAGS[command]:
-        value = data.draw(
-            st.none() | st.sampled_from(EDGE_FLOATS) | st.floats(), label=flag
-        )
+        values = st.sampled_from(EDGE_FLOATS) | st.floats()
+        if flag != "--accel-max":  # required by sweep
+            values = st.none() | values
+        value = data.draw(values, label=flag)
         if value is not None:
             argv.append(f"{flag}={value!r}")
     out, err = io.StringIO(), io.StringIO()
@@ -358,7 +479,7 @@ def test_any_float_gives_documented_exit(command, data, fmt):
     assert code in (0, 1, 2, 3, 4)
     if code in (1, 2):
         assert err.getvalue().startswith(("error:", "usage:"))
-    if command != "sweep" and fmt == "json" and code in (0, 3):
+    if fmt == "json" and code in (0, 3):
         strict_json(out.getvalue())
 
 
