@@ -1,16 +1,9 @@
 """Rates of a uniformly accelerated two-level atom coupled quadratically
 to vacuum Dirac field fluctuations, with an independent quadrature oracle."""
 
+import importlib
+
 from .atom import TwoLevelAtom
-from .clifford import FourVector, boost_matrix, gamma_matrix, slash
-from .correlators import (
-    StatFunctionPair,
-    WorldlineParams,
-    rindler_event,
-    stat_functions_closed,
-    trace_pair,
-)
-from .oracle import OracleReport, verify_rates
 from .rates import (
     RateBreakdown,
     detailed_balance_ratio,
@@ -22,6 +15,23 @@ from .rates import (
     rate_vf,
     si_acceleration_to_natural,
 )
+
+# Public names of the numpy-backed modules, resolved on first access
+# (PEP 562) so that importing the package, `rate` and `sweep` never load
+# numpy.
+_LAZY = {
+    "FourVector": "clifford",
+    "boost_matrix": "clifford",
+    "gamma_matrix": "clifford",
+    "slash": "clifford",
+    "StatFunctionPair": "correlators",
+    "WorldlineParams": "correlators",
+    "rindler_event": "correlators",
+    "stat_functions_closed": "correlators",
+    "trace_pair": "correlators",
+    "OracleReport": "oracle",
+    "verify_rates": "oracle",
+}
 
 __all__ = [
     "FourVector",
@@ -48,3 +58,15 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_LAZY))

@@ -11,7 +11,9 @@ import math
 import sys
 from pathlib import Path
 
-from . import oracle, rates, selfcheck
+# `oracle` and `selfcheck` import numpy, so `cmd_verify` and `cmd_selfcheck`
+# import them when called: `rate` and `sweep` run without numpy.
+from . import rates
 from .atom import TwoLevelAtom
 
 EXIT_OK = 0
@@ -72,12 +74,15 @@ def _with_config(argv: list[str]) -> list[str]:
     """argv with each `key = value` line of its --config file inserted as
     `--key=value` right after the command, so that the parser checks config
     values like flags and a flag on the command line wins."""
-    # A one-flag parser finds --config first: the full parser would stop on
-    # a required flag the file supplies.
+    # A small parser finds --config first: the full parser would stop on a
+    # required flag the file supplies. With -h the file is not read, so help
+    # prints even when the file is missing.
     finder = argparse.ArgumentParser(add_help=False)
     finder.add_argument("--config", nargs="?")
-    path = finder.parse_known_args(argv)[0].config
-    if not path:
+    finder.add_argument("-h", "--help", action="store_true")
+    found = finder.parse_known_args(argv)[0]
+    path = found.config
+    if not path or found.help:
         return argv
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -167,6 +172,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import oracle
+
     omega0, coupling, tol = args.omega0, args.coupling, args.tol
     if args.accel is None:
         accels = [r * omega0 for r in DEFAULT_VERIFY_RATIOS]
@@ -231,6 +238,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_selfcheck(args) -> int:
+    from . import selfcheck
+
     results = selfcheck.run_all()
     for r in results:
         status = "pass" if r.passed else "FAIL"

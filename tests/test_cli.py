@@ -282,6 +282,17 @@ class TestConfigFile:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("help_first", [True, False])
+    def test_help_does_not_read_config(self, help_first, tmp_path, capsys):
+        config = ["--config", str(tmp_path / "missing.cfg")]
+        argv = ["rate"] + (["-h"] + config if help_first else config + ["--help"])
+        with pytest.raises(SystemExit) as exc:
+            run_cli(argv)
+        assert exc.value.code == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("usage: diracrates rate")
+        assert captured.err == ""
+
     def test_flags_override_config(self, tmp_path, capsys):
         cfg = tmp_path / "recipe.cfg"
         cfg.write_text("omega0 = 2\naccel = 1\nformat = json\n")
@@ -436,6 +447,37 @@ def test_bad_number_exit_2(argv, capsys):
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
 
+def main_exit(argv):
+    """Exit code of cli.main, whether returned or raised as SystemExit."""
+    try:
+        return run_cli(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize(
+    "argv, code, usage",
+    [
+        (["rate", "--accel", "nan"], 2, False),
+        (["rate", "--omega0", "1e-200", "--accel", "1e200"], 2, False),
+        (["rate", "--config", "missing.cfg"], 1, False),
+        (["rate", "--omega0", "x"], 2, True),
+    ],
+)
+def test_readme_error_shapes(argv, code, usage, tmp_path, monkeypatch, capsys):
+    # README: value, overflow and I/O errors print one `error:` line;
+    # argparse usage errors print a usage block, then `<prog>: error: ...`.
+    monkeypatch.chdir(tmp_path)
+    assert main_exit(argv) == code
+    err = capsys.readouterr().err
+    if usage:
+        lines = err.splitlines()
+        assert lines[0].startswith("usage: diracrates rate")
+        assert lines[-1].startswith("diracrates rate: error:")
+    else:
+        assert err.startswith("error:") and err.count("\n") == 1
+
+
 # Drawn often on purpose; st.floats() alone reaches each only rarely.
 EDGE_FLOATS = [math.nan, math.inf, -math.inf, 0.0, 5e-324, 1e-320, 1e-300,
                1.0, 1e300, 1e308, sys.float_info.max]
@@ -481,6 +523,48 @@ def test_any_float_gives_documented_exit(command, data):
         assert err.getvalue().startswith(("error:", "usage:"))
     if fmt == "json" and code in (0, 3):
         strict_json(out.getvalue())
+
+
+# Runs cli.main on each argv of the JSON list in sys.argv[1], in one fresh
+# interpreter, and prints per step its exit code and whether numpy has been
+# imported.
+STARTUP_PROBE = """
+import contextlib, io, json, sys
+steps = []
+import diracrates
+steps.append([0, "numpy" in sys.modules])
+from diracrates import cli
+steps.append([0, "numpy" in sys.modules])
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    steps.append([code, "numpy" in sys.modules])
+print(json.dumps(steps))
+"""
+
+
+def startup_steps(argvs):
+    """[exit code, numpy imported] after `import diracrates`, after
+    `import diracrates.cli`, and after each argv, in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", STARTUP_PROBE, json.dumps(argvs)],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    return json.loads(proc.stdout)
+
+
+class TestStartup:
+    def test_rate_and_sweep_do_not_import_numpy(self):
+        rate = ["rate", "--omega0", "2", "--accel", "3", "--state", "excited"]
+        argvs = [rate + ["--format", f] for f in ("human", "json", "csv")]
+        argvs.append(["sweep", "--accel-max", "10", "--points", "5", "--scale", "linear"])
+        steps = startup_steps(argvs)
+        assert steps == [[0, False]] * (len(argvs) + 2)
+
+    @pytest.mark.parametrize("argv", [["verify", "--accel", "1"], ["selfcheck"]])
+    def test_verify_and_selfcheck_import_numpy(self, argv):
+        assert startup_steps([argv]) == [[0, False], [0, False], [0, True]]
 
 
 class TestEntryPoint:
