@@ -1,7 +1,6 @@
 """Two-level atom model: the single transition and susceptibility functions."""
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Literal
@@ -31,13 +30,17 @@ class TwoLevelAtom:
         return self.omega0 if self.level == "excited" else -self.omega0
 
 
-def susceptibility_c(atom: TwoLevelAtom, dtau: float) -> complex:
-    """Symmetric atomic susceptibility, even in dtau."""
-    w = atom.omega_bd
-    return 0.5 * CHANNEL_WEIGHT * (cmath.exp(1j * w * dtau) + cmath.exp(-1j * w * dtau))
+def susceptibility_c(atom: TwoLevelAtom, dtau: complex) -> complex:
+    """Symmetric atomic susceptibility W cos(omega_bd dtau), even in dtau.
+
+    dtau may be complex or an ndarray.  numpy is imported on call, so that
+    importing this module, as `rate` and `sweep` do, does not load it.
+    """
+    import numpy as np
+    return CHANNEL_WEIGHT * np.cos(atom.omega_bd * dtau)
 
 
-def susceptibility_chi(atom: TwoLevelAtom, dtau: float) -> complex:
-    """Antisymmetric atomic susceptibility, odd in dtau; sign flips with level."""
-    w = atom.omega_bd
-    return 0.5 * CHANNEL_WEIGHT * (cmath.exp(1j * w * dtau) - cmath.exp(-1j * w * dtau))
+def susceptibility_chi(atom: TwoLevelAtom, dtau: complex) -> complex:
+    """Antisymmetric i W sin(omega_bd dtau), odd in dtau; sign flips with level."""
+    import numpy as np
+    return 1j * CHANNEL_WEIGHT * np.sin(atom.omega_bd * dtau)

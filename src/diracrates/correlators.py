@@ -32,7 +32,9 @@ class WorldlineParams:
     """Proper acceleration and the regulator of the interval function.
 
     epsilon is the dimensionless shift inside the sinh argument,
-    sinh(a dtau/2 -+ i epsilon).
+    sinh(a dtau/2 -+ i epsilon).  As a contour shift it may be anything in
+    (0, pi), short of the next pole at -+i pi: an integral over real dtau
+    then equals its -+i0 limit.
     """
 
     accel: float
@@ -41,10 +43,8 @@ class WorldlineParams:
     def __post_init__(self) -> None:
         if self.accel <= 0:
             raise ValueError(f"accel must be positive, got {self.accel}")
-        if not 0 < self.epsilon < 0.1:
-            raise ValueError(
-                f"epsilon must lie in (0, 0.1), got {self.epsilon}"
-            )
+        if not 0 < self.epsilon < math.pi:
+            raise ValueError(f"epsilon must lie in (0, pi), got {self.epsilon}")
 
 
 @dataclass(frozen=True)
@@ -63,22 +63,22 @@ def rindler_event(tau: float, a: float) -> FourVector:
 
 
 def interval_z(dtau: float, params: WorldlineParams, branch: Branch = "minus") -> complex:
-    """Regularized interval i (2/a) sinh(a dtau/2 -+ i epsilon)."""
+    """Regularized interval i (2/a) sinh(a dtau/2 -+ i epsilon), elementwise."""
     shift = -1j * params.epsilon if branch == "minus" else 1j * params.epsilon
     a = params.accel
-    return 1j * (2.0 / a) * cmath.sinh(0.5 * a * dtau + shift)
+    return 1j * (2.0 / a) * np.sinh(0.5 * a * dtau + shift)
 
 
 def wightman_massless(z: complex) -> complex:
-    """Massless scalar Wightman function 1/(4 pi^2 z^2)."""
-    if z == 0:
+    """Massless scalar Wightman function 1/(4 pi^2 z^2), elementwise."""
+    if np.any(z == 0):
         raise SingularIntervalError("Wightman function is singular at z = 0")
     return 1.0 / (4.0 * _PI2 * z * z)
 
 
 def dwightman_dz(z: complex) -> complex:
-    """d/dz of the massless Wightman function: -1/(2 pi^2 z^3)."""
-    if z == 0:
+    """d/dz of the massless Wightman function: -1/(2 pi^2 z^3), elementwise."""
+    if np.any(z == 0):
         raise SingularIntervalError("Wightman derivative is singular at z = 0")
     return -1.0 / (2.0 * _PI2 * z**3)
 
@@ -127,7 +127,7 @@ def g_matrix_from_worldline(tau: float, tau_p: float, params: WorldlineParams) -
 
 
 def trace_pair(dtau: float, params: WorldlineParams, branch: Branch = "minus") -> complex:
-    """Trace of the two-point matrix pair: 4 (dG/dz)^2 at z(dtau).
+    """Trace of the two-point matrix pair: 4 (dG/dz)^2 at z(dtau), elementwise.
 
     Analytically -a^6 / (64 pi^4 sinh^6(a dtau/2 -+ i epsilon)).
     """

@@ -1,13 +1,14 @@
 """Numerical verification of the closed-form rates by direct quadrature.
 
-Both rates reduce to I(nu) = integral over the real line of
-sinh^-6(a tau/2 - i0) e^{i nu tau} dtau at nu = +-omega_bd.  Moving the
-integration line to Im(a tau/2) = -s, short of the next pole at -i pi,
-makes the -i0 limit exact; on that line the integrand is analytic in a
-strip and decays like e^{-6|u|}, so the plain trapezoidal rule converges
-geometrically (Trefethen & Weideman, SIAM Rev. 56, 2014).  The route
-uses only Cauchy deformation, never the residue sums behind the closed
-forms, so agreement is an independent check.
+Each rate is the paper's DDC integral of the field correlation function
+`correlators.trace_pair` against an `atom` susceptibility C or chi,
+-mu^2 omega_bd Re integral trace_pair(dtau) {C, chi}(dtau) ddtau, with the
+trace at a dtau/2 - i0.  Moving the line to Im(a dtau/2) = -s, short of
+the next pole at -i pi, makes the -i0 limit exact; on that line the
+integrand is analytic in a strip and decays like e^{-6|u|}, so the plain
+trapezoidal rule converges geometrically (Trefethen & Weideman, SIAM
+Rev. 56, 2014).  The route uses only Cauchy deformation, never the
+residue sums behind the closed forms, so agreement is an independent check.
 """
 from __future__ import annotations
 
@@ -16,10 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import rates
-from .atom import CHANNEL_WEIGHT, TwoLevelAtom
-
-_PI4 = math.pi**4
+from . import correlators, rates
+from .atom import TwoLevelAtom, susceptibility_c, susceptibility_chi
 
 # The line is cut off where the integrand's envelope 64 e^{-6|u|} falls
 # below _TAIL sin^6 s, i.e. _TAIL sin^12 s of the peak 1/sin^6 s: stricter
@@ -55,21 +54,19 @@ class OracleReport:
         return self.rel_err_vf < self.tol and self.rel_err_cross < self.tol
 
 
-def _line_sums(omega: float, a: float) -> tuple[np.ndarray, np.ndarray, dict]:
-    """Trapezoid sums of I(omega) + I(-omega) and I(omega) - I(-omega).
+def _line_sums(atom: TwoLevelAtom, a: float) -> tuple[np.ndarray, np.ndarray, dict]:
+    """Trapezoid sums of the vf and cross integrals, before -mu^2 omega_bd.
 
-    With a tau/2 = u - i s and z = 2 omega (s + i u)/a,
-    I(+-omega) = (2/a) integral sinh^-6(u - i s) e^{+-z} du,
-    so the sum and difference carry 2 cosh z and 2 sinh z.  Taking
-    sinh z directly keeps the difference accurate for a >> omega, where
-    I(omega) and I(-omega) agree to about log10(a/omega) digits.  The
-    shift s = min(pi/2, 3a/|omega|) keeps |Re z| <= 6; the step h
+    On the line a dtau/2 = u - i s the trace is trace_pair(2u/a) with
+    regulator s, and the susceptibilities take dtau = (2/a)(u - i s).
+    i W sin keeps the cross sum accurate for a >> omega, where the
+    integrals at +-omega agree to about log10(a/omega) digits.  The shift
+    s = min(pi/2, 3a/|omega|) keeps |Im(omega dtau)| <= 6; the step h
     resolves both the distance s to the pole and the oscillation.
-    Returns both sums at steps h and 2h (the even-indexed nodes), and
-    the grid.
+    Returns the sums at steps h and 2h (even-indexed nodes) and the grid.
     """
-    s = min(math.pi / 2, 3.0 * a / abs(omega))
-    h = 0.1 * min(s, a / (2.0 * abs(omega)))
+    s = min(math.pi / 2, 3.0 * a / abs(atom.omega_bd))
+    h = 0.1 * min(s, a / (2.0 * abs(atom.omega_bd)))
     # For subnormal a, h underflows to 0 or the node count leaves float
     # range; a quantity with no float value is reported as null.
     y = (math.log(64.0 / _TAIL) - 6.0 * math.log(math.sin(s))) / 6.0 if h > 0 else None
@@ -83,11 +80,12 @@ def _line_sums(omega: float, a: float) -> tuple[np.ndarray, np.ndarray, dict]:
             grid,
         )
     u = h * np.arange(-2 * n, 2 * n + 1)
-    w = np.sinh(u - 1j * s) ** -6
-    z = (2.0 * omega / a) * (s + 1j * u)
-    f = np.stack([w * np.cosh(z), w * np.sinh(z)])
-    t_h = (4.0 / a) * h * f.sum(axis=1)
-    t_2h = (4.0 / a) * 2.0 * h * f[:, ::2].sum(axis=1)
+    g = correlators.trace_pair(2.0 * u / a, correlators.WorldlineParams(a, epsilon=s))
+    dtau = (2.0 / a) * (u - 1j * s)
+    c = g * susceptibility_c(atom, dtau)
+    chi = g * susceptibility_chi(atom, dtau)
+    t_h = (2.0 / a) * h * np.array([c.sum(), chi.sum()])
+    t_2h = (2.0 / a) * 2.0 * h * np.array([c[::2].sum(), chi[::2].sum()])
     return t_h, t_2h, grid
 
 
@@ -96,11 +94,9 @@ def verify_rates(
 ) -> OracleReport:
     """Compare quadrature and closed-form vf/cross rates for one atom.
 
-    vf    = P [Re I(omega_bd) + Re I(-omega_bd)]
-    cross = P [Re I(omega_bd) - Re I(-omega_bd)]
-    with P = mu^2 a^6 weight omega_bd / (128 pi^4).  Raises
-    ConvergenceError, with the quadrature block as diagnostics, when
-    |T_h - T_2h| of either rate exceeds tol times its value.
+    Raises ConvergenceError, with the quadrature block as diagnostics,
+    when |T_h - T_2h| of either rate exceeds tol times its value, and
+    OverflowError when a sum leaves double range (from a ~ 1e52 on).
     """
     if not (0 < a < math.inf):
         raise ValueError(f"acceleration must be positive and finite, got {a}")
@@ -108,14 +104,14 @@ def verify_rates(
         raise ValueError(f"coupling must be finite, got {mu}")
     if not (0 < tol < math.inf):
         raise ValueError(f"tol must be positive and finite, got {tol}")
-    closed_vf = rates.rate_vf(atom, a, mu)
-    closed_cross = rates.rate_cross(atom, a, mu)
-    if closed_vf == 0 or closed_cross == 0:
+    closed = rates.rate_total(atom, a, mu)
+    if closed.vf == 0 or closed.cross == 0:
         raise ValueError(
             f"rates underflow to zero at omega0={atom.omega0}, a={a}, mu={mu}"
         )
-    pref = (mu * mu * a**6 / (128.0 * _PI4)) * CHANNEL_WEIGHT * atom.omega_bd
-    t_h, t_2h, grid = _line_sums(atom.omega_bd, a)
+    with np.errstate(all="ignore"):  # an overflow leaves a sum inf or nan
+        t_h, t_2h, grid = _line_sums(atom, a)
+    pref = -mu * mu * atom.omega_bd
     vf, cross = (pref * t_h.real).tolist()
     if not (math.isfinite(vf) and math.isfinite(cross)):
         raise OverflowError("quadrature value out of double range")
@@ -136,10 +132,10 @@ def verify_rates(
     return OracleReport(
         numeric_vf=vf,
         numeric_cross=cross,
-        closed_vf=closed_vf,
-        closed_cross=closed_cross,
-        rel_err_vf=abs(vf - closed_vf) / abs(closed_vf),
-        rel_err_cross=abs(cross - closed_cross) / abs(closed_cross),
+        closed_vf=closed.vf,
+        closed_cross=closed.cross,
+        rel_err_vf=abs(vf - closed.vf) / abs(closed.vf),
+        rel_err_cross=abs(cross - closed.cross) / abs(closed.cross),
         tol=tol,
         quadrature=quadrature,
     )

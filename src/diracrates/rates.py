@@ -88,10 +88,11 @@ def _closed_forms(
     base = (mu * mu / _RATE_DENOM) * CHANNEL_WEIGHT * w**6 * f
     mag = base * (1.0 + 2.0 * n)
     # The downward transition (excited) drains energy, the upward one feeds
-    # it.  0.0 - x rather than -x keeps a zero rate +0.0.
-    vf = 0.0 - mag if atom.omega_bd > 0 else mag
-    cross = 0.0 - base
-    return f, n, vf, cross, vf + cross
+    # it.  0.0 - x rather than -x keeps a zero rate +0.0.  The total is not
+    # vf + cross, which cancels to rounding for the ground level at small n.
+    if atom.omega_bd > 0:
+        return f, n, 0.0 - mag, 0.0 - base, 0.0 - 2.0 * base * (1.0 + n)
+    return f, n, mag, 0.0 - base, 2.0 * base * n
 
 
 def rate_vf(atom: TwoLevelAtom, a: float, mu: float) -> float:
@@ -129,8 +130,8 @@ def detailed_balance_ratio(omega0: float, a: float) -> float:
 
     Equals n/(1+n) = e^{-2 pi omega0 / a}: the polynomial factor cancels
     in the quotient, leaving only the occupation number.  Evaluated as
-    the exponential; the quotient of rate_total values agrees but loses
-    precision to cancellation when the occupation is tiny.
+    the exponential; the quotient of rate_total values agrees wherever
+    the occupation is a normal float.
     """
     _check_positive(omega0, a)
     return math.exp(-2.0 * math.pi * omega0 / a)

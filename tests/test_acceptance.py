@@ -95,7 +95,7 @@ def test_criterion_7_detailed_balance():
     worst_ratio = 0.0
     worst_temp = 0.0
     for omega0 in (0.5, 1.0, 2.0):
-        for a in (2.0, 4.0, 8.0, 16.0):
+        for a in (0.1 * omega0, 0.2 * omega0, 2.0, 4.0, 8.0, 16.0):
             up = rates.rate_total(TwoLevelAtom(omega0, "ground"), a, 1.0).total
             down = rates.rate_total(TwoLevelAtom(omega0, "excited"), a, 1.0).total
             boltzmann = math.exp(-2 * math.pi * omega0 / a)

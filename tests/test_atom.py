@@ -1,4 +1,5 @@
 """Two-level atom transition and susceptibility functions."""
+import cmath
 import math
 
 import numpy as np
@@ -81,3 +82,38 @@ class TestSusceptibilityChi:
         a = TwoLevelAtom(2.5, "excited")
         for dtau in np.linspace(-10, 10, 101):
             assert abs(at.susceptibility_chi(a, dtau)) <= 0.25 + 1e-15
+
+
+class TestSusceptibilityForms:
+    """W cos and i W sin against the exponential forms, and their arguments."""
+
+    @staticmethod
+    def exponential_forms(atom, dtau):
+        w = atom.omega_bd
+        plus, minus = cmath.exp(1j * w * dtau), cmath.exp(-1j * w * dtau)
+        half_w = 0.5 * at.CHANNEL_WEIGHT
+        return half_w * (plus + minus), half_w * (plus - minus)
+
+    def test_real_dtau_matches_exponentials(self):
+        for level in ("ground", "excited"):
+            a = TwoLevelAtom(1.7, level)
+            for dtau in np.linspace(-20.0, 20.0, 81):
+                c, chi = self.exponential_forms(a, dtau)
+                assert abs(at.susceptibility_c(a, dtau) - c) <= 1e-15
+                assert abs(at.susceptibility_chi(a, dtau) - chi) <= 1e-15
+
+    def test_complex_dtau(self):
+        a = TwoLevelAtom(1.3, "ground")
+        dtau = 0.8 - 0.5j
+        c, chi = self.exponential_forms(a, dtau)
+        assert at.susceptibility_c(a, dtau) == pytest.approx(c, rel=1e-15)
+        assert at.susceptibility_chi(a, dtau) == pytest.approx(chi, rel=1e-15)
+
+    def test_array_dtau(self):
+        a = TwoLevelAtom(2.0, "excited")
+        dtau = np.linspace(-3.0, 3.0, 13) - 0.25j
+        c = at.susceptibility_c(a, dtau)
+        chi = at.susceptibility_chi(a, dtau)
+        assert c.shape == chi.shape == dtau.shape
+        assert list(c) == [at.susceptibility_c(a, t) for t in dtau]
+        assert list(chi) == [at.susceptibility_chi(a, t) for t in dtau]

@@ -214,6 +214,18 @@ class TestVerify:
         ):
             assert key in entry
 
+    def test_rates_beyond_a6_range(self, capsys):
+        # a^6 omega0 (~1e316) is out of double range, the rates (~1e266) are not.
+        code = run_cli(
+            ["verify", "--omega0", "1e40", "--accel", "1e46", "--format", "json"]
+        )
+        assert code == 0
+        entries = strict_json(capsys.readouterr().out)["entries"]
+        assert len(entries) == 2
+        assert all(
+            max(e["rel_err_vf"], e["rel_err_cross"]) < 1e-12 for e in entries
+        )
+
     def test_unreachable_tolerance_exit_3(self, capsys):
         # At a/omega = 10 the trapezoid error estimate is ~1e-8 relative.
         code = run_cli(
@@ -422,7 +434,9 @@ def test_readme_cli_examples(argv, tmp_path, monkeypatch, capsys):
         ["rate", "--omega0", "nan"],
         ["rate", "--accel", "1", "--coupling", "inf"],
         ["rate", "--accel", "1", "--coupling", "1e200"],
-        ["verify", "--accel", "1e50", "--coupling", "1e10"],
+        # The rates are finite, but the trace on the line, of order a^6,
+        # is not.
+        ["verify", "--accel", "1e55"],
         ["verify", "--accel", "nan"],
         ["verify", "--omega0", "1e-60", "--accel", "1e-60"],
         # 2 pi omega0 / a underflows to 0: the rates are infinite.

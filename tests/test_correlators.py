@@ -10,16 +10,19 @@ from diracrates.correlators import SingularIntervalError, WorldlineParams
 
 PI2 = math.pi**2
 PI4 = math.pi**4
+EPS = np.finfo(float).eps
 
 
 class TestWorldlineParams:
     def test_validation(self):
         with pytest.raises(ValueError):
             WorldlineParams(accel=0.0)
-        with pytest.raises(ValueError):
-            WorldlineParams(accel=1.0, epsilon=0.0)
-        with pytest.raises(ValueError):
-            WorldlineParams(accel=1.0, epsilon=0.2)
+        # epsilon is a contour shift, valid short of the next pole at pi.
+        for eps in (0.2, 3.0):
+            assert WorldlineParams(accel=1.0, epsilon=eps).epsilon == eps
+        for eps in (0.0, math.pi, math.nan):
+            with pytest.raises(ValueError):
+                WorldlineParams(accel=1.0, epsilon=eps)
 
 
 class TestRindlerEvent:
@@ -66,6 +69,14 @@ class TestIntervalZ:
         zp = co.interval_z(0.7, p, "plus")
         assert zp == pytest.approx(-zm.conjugate(), rel=1e-14)
 
+    def test_array_matches_scalar_calls(self):
+        p = WorldlineParams(accel=1.5, epsilon=0.4)
+        dtau = np.linspace(-8.0, 8.0, 33)
+        for branch in ("minus", "plus"):
+            z = co.interval_z(dtau, p, branch)
+            assert z.shape == dtau.shape
+            assert list(z) == [co.interval_z(float(t), p, branch) for t in dtau]
+
 
 class TestWightman:
     def test_values(self):
@@ -99,6 +110,10 @@ class TestWightmanDerivative:
     def test_singularity(self):
         with pytest.raises(SingularIntervalError):
             co.dwightman_dz(0.0)
+
+    def test_singularity_in_array(self):
+        with pytest.raises(SingularIntervalError):
+            co.dwightman_dz(np.array([1.0, 0.0, 1j]))
 
 
 class TestGMatrix:
@@ -138,6 +153,17 @@ class TestTracePair:
             64 * PI4 * cmath.sinh(0.75 * 0.8 - 1e-4j) ** 6
         )
         assert got == pytest.approx(expected, rel=1e-12)
+
+    def test_array_matches_scalar_calls(self):
+        p = WorldlineParams(accel=0.7, epsilon=2.0)
+        dtau = np.linspace(-30.0, 30.0, 41)
+        for branch in ("minus", "plus"):
+            got = co.trace_pair(dtau, p, branch)
+            assert got.shape == dtau.shape
+            # Array complex products may round differently (fused
+            # multiply-add), by at most a couple of units in the last place.
+            expected = np.array([co.trace_pair(float(t), p, branch) for t in dtau])
+            assert np.all(abs(got - expected) <= 2 * EPS * abs(expected))
 
     def test_branch_swap_conjugates(self):
         p = WorldlineParams(accel=1.0, epsilon=1e-3)

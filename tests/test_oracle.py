@@ -18,8 +18,8 @@ QUADRATURE_KEYS = {
 class TestShiftedLine:
     def test_default_grid(self):
         for a in (1e-3, 0.1, 1.0, 100.0):
-            _, _, grid = oracle._line_sums(1.0, a)
-            assert oracle._line_sums(-1.0, a)[2] == grid
+            _, _, grid = oracle._line_sums(TwoLevelAtom(1.0, "excited"), a)
+            assert oracle._line_sums(TwoLevelAtom(1.0, "ground"), a)[2] == grid
             assert grid["s"] == min(math.pi / 2, 3 * a)
             assert grid["h"] == pytest.approx(0.1 * min(grid["s"], a / 2))
             assert grid["nodes"] % 4 == 1
@@ -32,7 +32,7 @@ class TestShiftedLine:
 
     def test_node_limit(self):
         with pytest.raises(ConvergenceError) as err:
-            oracle._line_sums(1.0, 1e-5)
+            oracle._line_sums(TwoLevelAtom(1.0, "excited"), 1e-5)
         assert err.value.diagnostics["nodes"] > oracle._MAX_NODES
 
     @pytest.mark.parametrize("a", [5e-324, 1e-320])
@@ -63,7 +63,7 @@ class TestVfIntegral:
 
     def test_truncation_point_is_quiet(self):
         for a in (1e-3, 1.0, 1e6):
-            _, _, grid = oracle._line_sums(1.0, a)
+            _, _, grid = oracle._line_sums(TwoLevelAtom(1.0, "excited"), a)
             s, u_max = grid["s"], (grid["nodes"] // 2) * grid["h"]
             assert u_max >= grid["Y"]
             tail = abs(cmath.sinh(u_max - 1j * s)) ** -6
@@ -80,7 +80,7 @@ class TestCrossIntegral:
     def test_imaginary_residue_small(self):
         # I(nu) is real: the integrand at -tau is the conjugate of that at tau.
         for a in (1e-3, 1.0, 1e6):
-            t_h, _, _ = oracle._line_sums(1.0, a)
+            t_h, _, _ = oracle._line_sums(TwoLevelAtom(1.0, "excited"), a)
             assert all(abs(t_h.imag) < 1e-12 * abs(t_h.real))
 
     def test_negative_and_level_independent(self):
