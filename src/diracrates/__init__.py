@@ -10,9 +10,7 @@ from .rates import (
     effective_temperature,
     planck_number,
     polynomial_factor,
-    rate_cross,
     rate_total,
-    rate_vf,
     si_acceleration_to_natural,
 )
 
@@ -46,9 +44,7 @@ __all__ = [
     "gamma_matrix",
     "planck_number",
     "polynomial_factor",
-    "rate_cross",
     "rate_total",
-    "rate_vf",
     "rindler_event",
     "si_acceleration_to_natural",
     "slash",

@@ -100,15 +100,8 @@ def _with_config(argv: list[str]) -> list[str]:
     return argv[:1] + flags + argv[1:]
 
 
-def _row(atom: TwoLevelAtom, accel: float, coupling: float) -> tuple[float, ...]:
-    """One point in the order of SWEEP_HEADER."""
-    rb = rates.rate_total(atom, accel, coupling)
-    t_eff = accel / (2.0 * math.pi)
-    return accel, rb.vf, rb.cross, rb.total, rb.poly_factor, rb.planck_n, t_eff
-
-
 def cmd_rate(args) -> int:
-    _, vf, cross, total, poly, planck_n, t_eff = _row(
+    _, vf, cross, total, poly, planck_n, t_eff = rates.rate_total(
         TwoLevelAtom(args.omega0, args.state), args.accel, args.coupling
     )
     fields = {
@@ -160,7 +153,7 @@ def cmd_sweep(args) -> int:
     template = ",".join(["%.17g"] * 7) + "\n"
     lines = [SWEEP_HEADER + "\n"]
     lines += [
-        template % _row(atom, a, args.coupling)
+        template % rates.rate_total(atom, a, args.coupling)
         for a in _sweep_grid(amin, amax, points, args.scale)
     ]
     if args.output:

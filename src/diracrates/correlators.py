@@ -136,10 +136,10 @@ def trace_pair(dtau: float, params: WorldlineParams, branch: Branch = "minus") -
 
 
 def stat_functions_closed(dtau: float, params: WorldlineParams) -> StatFunctionPair:
-    """Closed-form symmetric and antisymmetric statistical functions."""
+    """Closed-form symmetric and antisymmetric statistical functions, elementwise."""
     a = params.accel
     x = 0.5 * a * dtau
     pref = -(a**6) / (128.0 * _PI4)
-    sm = cmath.sinh(x - 1j * params.epsilon) ** -6
-    sp = cmath.sinh(x + 1j * params.epsilon) ** -6
+    sm = np.sinh(x - 1j * params.epsilon) ** -6
+    sp = np.sinh(x + 1j * params.epsilon) ** -6
     return StatFunctionPair(c_f=pref * (sm + sp), chi_f=pref * (sm - sp))

@@ -55,12 +55,15 @@ class OracleReport:
 
 
 def _line_sums(atom: TwoLevelAtom, a: float) -> tuple[np.ndarray, np.ndarray, dict]:
-    """Trapezoid sums of the vf and cross integrals, before -mu^2 omega_bd.
+    """Trapezoid sums of the vf and cross integrals in u = a dtau/2, before
+    the scale -mu^2 omega_bd (a/2)^5.
 
-    On the line a dtau/2 = u - i s the trace is trace_pair(2u/a) with
-    regulator s, and the susceptibilities take dtau = (2/a)(u - i s).
-    i W sin keeps the cross sum accurate for a >> omega, where the
-    integrals at +-omega agree to about log10(a/omega) digits.  The shift
+    On the line u - i s the trace at acceleration a is (a/2)^6 times the
+    trace at acceleration 2 and dtau = u, regulator s; the susceptibilities
+    of the atom with omega0 scaled by 2/a take dtau = u - i s.  Factoring
+    out (a/2)^6 keeps the sums in double range for any a.  i W sin keeps
+    the cross sum accurate for a >> omega, where the integrals at +-omega
+    agree to about log10(a/omega) digits.  The shift
     s = min(pi/2, 3a/|omega|) keeps |Im(omega dtau)| <= 6; the step h
     resolves both the distance s to the pole and the oscillation.
     Returns the sums at steps h and 2h (even-indexed nodes) and the grid.
@@ -80,12 +83,12 @@ def _line_sums(atom: TwoLevelAtom, a: float) -> tuple[np.ndarray, np.ndarray, di
             grid,
         )
     u = h * np.arange(-2 * n, 2 * n + 1)
-    g = correlators.trace_pair(2.0 * u / a, correlators.WorldlineParams(a, epsilon=s))
-    dtau = (2.0 / a) * (u - 1j * s)
-    c = g * susceptibility_c(atom, dtau)
-    chi = g * susceptibility_chi(atom, dtau)
-    t_h = (2.0 / a) * h * np.array([c.sum(), chi.sum()])
-    t_2h = (2.0 / a) * 2.0 * h * np.array([c[::2].sum(), chi[::2].sum()])
+    g = correlators.trace_pair(u, correlators.WorldlineParams(2.0, epsilon=s))
+    scaled = TwoLevelAtom(2.0 * atom.omega0 / a, atom.level)
+    c = g * susceptibility_c(scaled, u - 1j * s)
+    chi = g * susceptibility_chi(scaled, u - 1j * s)
+    t_h = h * np.array([c.sum(), chi.sum()])
+    t_2h = 2.0 * h * np.array([c[::2].sum(), chi[::2].sum()])
     return t_h, t_2h, grid
 
 
@@ -96,7 +99,8 @@ def verify_rates(
 
     Raises ConvergenceError, with the quadrature block as diagnostics,
     when |T_h - T_2h| of either rate exceeds tol times its value, and
-    OverflowError when a sum leaves double range (from a ~ 1e52 on).
+    OverflowError when a rate leaves double range (from a ~ 2.9e62 on at
+    omega0 = mu = 1, where the closed forms do too).
     """
     if not (0 < a < math.inf):
         raise ValueError(f"acceleration must be positive and finite, got {a}")
@@ -111,11 +115,15 @@ def verify_rates(
         )
     with np.errstate(all="ignore"):  # an overflow leaves a sum inf or nan
         t_h, t_2h, grid = _line_sums(atom, a)
-    pref = -mu * mu * atom.omega_bd
-    vf, cross = (pref * t_h.real).tolist()
+    # The scale -mu^2 omega_bd (a/2)^5 in float products, which overflow
+    # to inf without a warning; one factor a/2 goes on the sums first, so
+    # that the scale stays finite wherever the closed forms do.
+    half = a / 2.0
+    pref = -mu * mu * atom.omega_bd * half * half * half * half
+    vf, cross = [pref * (half * t) for t in t_h.real.tolist()]
     if not (math.isfinite(vf) and math.isfinite(cross)):
         raise OverflowError("quadrature value out of double range")
-    vf_2h, cross_2h = (pref * t_2h.real).tolist()
+    vf_2h, cross_2h = [pref * (half * t) for t in t_2h.real.tolist()]
     quadrature = {
         **grid,
         "error_estimate_vf": abs(vf - vf_2h),

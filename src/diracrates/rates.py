@@ -1,15 +1,17 @@
 """Closed-form rates of change of the atomic energy.
 
-Vacuum-fluctuation and cross-term contributions for a uniformly
-accelerated two-level atom, their total, the inertial limit, detailed
-balance and the associated effective temperature, plus an SI
-acceleration conversion helper.  Natural units (hbar = c = 1)
-throughout; energies per unit proper time.
+`rate_total` computes the vacuum-fluctuation and cross-term contributions
+for a uniformly accelerated two-level atom and their total, with the
+polynomial factor, the Planck number and the temperature a/2pi, as one
+`RateBreakdown` row; it is the only place a closed-form point is computed.
+Also the detailed-balance ratio, the effective temperature and an SI
+acceleration conversion helper.  Natural units (hbar = c = 1) throughout;
+energies per unit proper time.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .atom import CHANNEL_WEIGHT, TwoLevelAtom
 
@@ -19,14 +21,16 @@ SPEED_OF_LIGHT = 2.99792458e8  # m/s
 _RATE_DENOM = 120.0 * math.pi**3
 
 
-@dataclass(frozen=True)
-class RateBreakdown:
+class RateBreakdown(NamedTuple):
+    """One point in the order of the sweep CSV's columns; the last is a/2pi."""
+
+    accel: float
     vf: float
     cross: float
     total: float
-    coupling: float
     poly_factor: float
     planck_n: float
+    effective_temperature: float
 
 
 def polynomial_factor(omega: float, a: float) -> float:
@@ -59,29 +63,12 @@ def planck_number(omega: float, a: float) -> float:
     return n
 
 
-def _check_inputs(a: float, mu: float) -> None:
+def rate_total(atom: TwoLevelAtom, a: float, mu: float) -> RateBreakdown:
+    """The closed-form rates and their factors at one point, as a sweep row."""
     if not (0 <= a < math.inf):
         raise ValueError(f"acceleration must be nonnegative and finite, got {a}")
     if not math.isfinite(mu):
         raise ValueError(f"coupling must be finite, got {mu}")
-
-
-def _finite(rate: float) -> float:
-    # Float products overflow to inf silently, unlike float powers.
-    if not math.isfinite(rate):
-        raise OverflowError("rate out of double range")
-    return rate
-
-
-def _closed_forms(
-    atom: TwoLevelAtom, a: float, mu: float
-) -> tuple[float, float, float, float, float]:
-    """poly_factor, planck_n, vf, cross and total at one point, each once.
-
-    The rates are not checked for overflow; each caller checks the ones
-    it returns.
-    """
-    _check_inputs(a, mu)
     w = atom.omega0
     f = polynomial_factor(w, a)
     n = planck_number(w, a) if a > 0 else 0.0
@@ -91,31 +78,14 @@ def _closed_forms(
     # it.  0.0 - x rather than -x keeps a zero rate +0.0.  The total is not
     # vf + cross, which cancels to rounding for the ground level at small n.
     if atom.omega_bd > 0:
-        return f, n, 0.0 - mag, 0.0 - base, 0.0 - 2.0 * base * (1.0 + n)
-    return f, n, mag, 0.0 - base, 2.0 * base * n
-
-
-def rate_vf(atom: TwoLevelAtom, a: float, mu: float) -> float:
-    """Vacuum-fluctuation contribution to d<H_A>/dtau."""
-    return _finite(_closed_forms(atom, a, mu)[2])
-
-
-def rate_cross(atom: TwoLevelAtom, a: float, mu: float) -> float:
-    """Cross-term contribution; negative for either initial level."""
-    return _finite(_closed_forms(atom, a, mu)[3])
-
-
-def rate_total(atom: TwoLevelAtom, a: float, mu: float) -> RateBreakdown:
-    """Total mean rate of change of the atomic energy with its breakdown."""
-    f, n, vf, cross, total = _closed_forms(atom, a, mu)
-    return RateBreakdown(
-        vf=_finite(vf),
-        cross=_finite(cross),
-        total=_finite(total),
-        coupling=mu,
-        poly_factor=f,
-        planck_n=n,
-    )
+        vf, total = 0.0 - mag, 0.0 - 2.0 * base * (1.0 + n)
+    else:
+        vf, total = mag, 2.0 * base * n
+    cross = 0.0 - base
+    # Float products overflow to inf silently, unlike float powers.
+    if not (math.isfinite(vf) and math.isfinite(cross) and math.isfinite(total)):
+        raise OverflowError("rate out of double range")
+    return RateBreakdown(a, vf, cross, total, f, n, a / (2.0 * math.pi))
 
 
 def _check_positive(omega0: float, a: float) -> None:

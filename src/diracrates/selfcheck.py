@@ -96,19 +96,19 @@ def check_trace_vs_closed() -> CheckResult:
     for a in (0.5, 1.0, 2.0):
         for eps in (1e-3, 1e-4):
             params = correlators.WorldlineParams(accel=a, epsilon=eps)
-            for dtau in np.linspace(0.05 / a, 20.0 / a, 60):
-                closed = correlators.stat_functions_closed(dtau, params)
-                tp_m = correlators.trace_pair(dtau, params, "minus")
-                tp_p = correlators.trace_pair(dtau, params, "plus")
-                c_route = 0.5 * (tp_m + tp_p)
-                chi_route = 0.5 * (tp_m - tp_p)
-                scale = max(abs(closed.c_f), abs(closed.chi_f))
-                worst = max(
-                    worst,
-                    abs(c_route - closed.c_f) / scale,
-                    abs(chi_route - closed.chi_f) / scale,
-                )
-                cases += 2
+            dtau = np.linspace(0.05 / a, 20.0 / a, 60)
+            closed = correlators.stat_functions_closed(dtau, params)
+            tp_m = correlators.trace_pair(dtau, params, "minus")
+            tp_p = correlators.trace_pair(dtau, params, "plus")
+            c_route = 0.5 * (tp_m + tp_p)
+            chi_route = 0.5 * (tp_m - tp_p)
+            scale = np.maximum(abs(closed.c_f), abs(closed.chi_f))
+            worst = max(
+                worst,
+                float(np.max(abs(c_route - closed.c_f) / scale)),
+                float(np.max(abs(chi_route - closed.chi_f) / scale)),
+            )
+            cases += 2 * dtau.size
     return CheckResult("trace route vs closed forms", cases, worst, 1e-10)
 
 

@@ -139,8 +139,8 @@ def test_criterion_9_cross_term_structure():
     ok = True
     worst = 0.0
     for omega0, a, mu in [(1.0, 0.0, 1.0), (1.0, 1.0, 1.0), (2.0, 5.0, 0.4)]:
-        g = rates.rate_cross(TwoLevelAtom(omega0, "ground"), a, mu)
-        e = rates.rate_cross(TwoLevelAtom(omega0, "excited"), a, mu)
+        g = rates.rate_total(TwoLevelAtom(omega0, "ground"), a, mu).cross
+        e = rates.rate_total(TwoLevelAtom(omega0, "excited"), a, mu).cross
         ok = ok and g < 0 and e < 0
         worst = max(worst, abs(abs(g) - abs(e)) / abs(g))
     _report(

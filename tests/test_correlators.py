@@ -227,3 +227,14 @@ class TestStatFunctions:
                 c = abs(co.stat_functions_closed(adt / a, p).c_f)
                 fitted = c * math.exp(3 * adt)
                 assert fitted == pytest.approx(a**6 / PI4, rel=0.05)
+
+    def test_array_matches_scalar_calls(self):
+        p = WorldlineParams(accel=0.7, epsilon=2.0)
+        dtau = np.linspace(-30.0, 30.0, 41)
+        got = co.stat_functions_closed(dtau, p)
+        scalar = [co.stat_functions_closed(float(t), p) for t in dtau]
+        for field in ("c_f", "chi_f"):
+            values = getattr(got, field)
+            assert values.shape == dtau.shape
+            expected = np.array([getattr(pair, field) for pair in scalar])
+            assert np.all(abs(values - expected) <= 2 * EPS * abs(expected))

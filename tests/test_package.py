@@ -19,9 +19,7 @@ HOME = {
     "gamma_matrix": "clifford",
     "planck_number": "rates",
     "polynomial_factor": "rates",
-    "rate_cross": "rates",
     "rate_total": "rates",
-    "rate_vf": "rates",
     "rindler_event": "correlators",
     "si_acceleration_to_natural": "rates",
     "slash": "clifford",
@@ -32,7 +30,7 @@ HOME = {
 
 
 def test_all_lists_the_public_names():
-    assert len(HOME) == 21
+    assert len(HOME) == 19
     assert diracrates.__all__ == sorted(HOME)
 
 

@@ -34,21 +34,21 @@ class TestPlanckNumber:
         # 2 pi omega / a = ln 2  =>  occupation exactly 1
         omega = 1.0
         a = 2 * math.pi * omega / math.log(2.0)
-        assert rates.planck_number(omega, a) == pytest.approx(1.0, rel=1e-14)
+        assert rates.planck_number(omega, a) == pytest.approx(1.0, rel=1e-14, abs=0)
 
     def test_boltzmann_suppression(self):
         assert rates.planck_number(1.0, 1e-3) == 0.0
 
     def test_unruh_scale(self):
         assert rates.planck_number(1.0, 2 * math.pi) == pytest.approx(
-            1 / (math.e - 1), rel=1e-14
+            1 / (math.e - 1), rel=1e-14, abs=0
         )
 
     def test_beyond_expm1_range(self):
         # expm1 overflows for 2 pi omega / a above ~709.78; n is e^{-x} there.
         assert rates.planck_number(1.0, 0.0086) == math.exp(-2 * math.pi / 0.0086) > 0
         assert rates.planck_number(1.0, 2 * math.pi / 709.7) == pytest.approx(
-            math.exp(-709.7), rel=1e-12
+            math.exp(-709.7), rel=1e-12, abs=0
         )
 
     def test_occupation_overflow(self):
@@ -66,36 +66,36 @@ class TestPlanckNumber:
 
 class TestRateVf:
     def test_ground_inertial(self):
-        got = rates.rate_vf(TwoLevelAtom(1.0, "ground"), 0.0, 1.0)
-        assert got == pytest.approx(1 / (480 * PI3), rel=1e-14)
+        got = rates.rate_total(TwoLevelAtom(1.0, "ground"), 0.0, 1.0).vf
+        assert got == pytest.approx(1 / (480 * PI3), rel=1e-14, abs=0)
 
     def test_excited_inertial(self):
-        got = rates.rate_vf(TwoLevelAtom(1.0, "excited"), 0.0, 1.0)
-        assert got == pytest.approx(-1 / (480 * PI3), rel=1e-14)
-        assert got == pytest.approx(-6.72e-5, rel=1e-2)
+        got = rates.rate_total(TwoLevelAtom(1.0, "excited"), 0.0, 1.0).vf
+        assert got == pytest.approx(-1 / (480 * PI3), rel=1e-14, abs=0)
+        assert got == pytest.approx(-6.72e-5, rel=1e-2, abs=0)
 
     def test_signs_for_all_accelerations(self):
         for a in (0.0, 0.5, 1.0, 10.0):
-            assert rates.rate_vf(TwoLevelAtom(1.0, "ground"), a, 1.0) > 0
-            assert rates.rate_vf(TwoLevelAtom(1.0, "excited"), a, 1.0) < 0
+            assert rates.rate_total(TwoLevelAtom(1.0, "ground"), a, 1.0).vf > 0
+            assert rates.rate_total(TwoLevelAtom(1.0, "excited"), a, 1.0).vf < 0
 
 
 class TestRateCross:
     def test_level_independent(self):
         for a in (0.0, 1.0, 7.0):
-            g = rates.rate_cross(TwoLevelAtom(2.0, "ground"), a, 0.3)
-            e = rates.rate_cross(TwoLevelAtom(2.0, "excited"), a, 0.3)
+            g = rates.rate_total(TwoLevelAtom(2.0, "ground"), a, 0.3).cross
+            e = rates.rate_total(TwoLevelAtom(2.0, "excited"), a, 0.3).cross
             assert g == e
 
     def test_inertial_value(self):
-        got = rates.rate_cross(TwoLevelAtom(1.0, "ground"), 0.0, 1.0)
-        assert got == pytest.approx(-1 / (480 * PI3), rel=1e-14)
+        got = rates.rate_total(TwoLevelAtom(1.0, "ground"), 0.0, 1.0).cross
+        assert got == pytest.approx(-1 / (480 * PI3), rel=1e-14, abs=0)
 
     def test_always_negative(self):
         rng = np.random.default_rng(2)
         for _ in range(50):
             omega0, a, mu = rng.uniform(0.1, 5.0, size=3)
-            assert rates.rate_cross(TwoLevelAtom(omega0, "ground"), a, mu) < 0
+            assert rates.rate_total(TwoLevelAtom(omega0, "ground"), a, mu).cross < 0
 
 
 class TestRateTotal:
@@ -105,14 +105,14 @@ class TestRateTotal:
 
     def test_excited_inertial(self):
         rb = rates.rate_total(TwoLevelAtom(1.0, "excited"), 0.0, 1.0)
-        assert rb.total == pytest.approx(-1 / (240 * PI3), rel=1e-13)
+        assert rb.total == pytest.approx(-1 / (240 * PI3), rel=1e-13, abs=0)
 
     def test_ground_unruh_scale(self):
         omega0, a = 1.0, 2 * math.pi
         rb = rates.rate_total(TwoLevelAtom(omega0, "ground"), a, 1.0)
         f = rates.polynomial_factor(omega0, a)
         expected = (1 / (60 * PI3)) * 0.25 * f / (math.e - 1)
-        assert rb.total == pytest.approx(expected, rel=1e-12)
+        assert rb.total == pytest.approx(expected, rel=1e-12, abs=0)
 
     def test_additivity_random_tuples(self):
         rng = np.random.default_rng(42)
@@ -171,10 +171,17 @@ class TestRateTotal:
         "a, mu", [(math.nan, 1.0), (math.inf, 1.0), (-1.0, 1.0), (1.0, math.nan)]
     )
     def test_invalid_inputs_rejected(self, a, mu):
-        atom = TwoLevelAtom(1.0, "ground")
-        for fn in (rates.rate_vf, rates.rate_cross, rates.rate_total):
-            with pytest.raises(ValueError):
-                fn(atom, a, mu)
+        with pytest.raises(ValueError):
+            rates.rate_total(TwoLevelAtom(1.0, "ground"), a, mu)
+
+    def test_sweep_row(self):
+        # The fields are the sweep CSV's columns in order.
+        rb = rates.rate_total(TwoLevelAtom(1.7, "excited"), 2.0, 0.3)
+        assert rb._fields == ("accel", "vf", "cross", "total", "poly_factor",
+                              "planck_n", "effective_temperature")
+        assert rb[0] == rb.accel == 2.0
+        assert rb[6] == rb.effective_temperature == 2.0 / (2 * math.pi)
+        assert rates.rate_total(TwoLevelAtom(1.7), 0.0, 0.3)[6] == 0.0
 
 
 class TestDetailedBalance:
@@ -182,17 +189,17 @@ class TestDetailedBalance:
         omega0 = 1.0
         a = 2 * math.pi * omega0 / math.log(2.0)
         assert rates.detailed_balance_ratio(omega0, a) == pytest.approx(
-            0.5, rel=1e-12
+            0.5, rel=1e-12, abs=0
         )
 
     def test_high_temperature_limit(self):
         assert rates.detailed_balance_ratio(1.0, 1e6) == pytest.approx(
-            1.0, rel=1e-5
+            1.0, rel=1e-5, abs=0
         )
 
     def test_boltzmann_factor(self):
         assert rates.detailed_balance_ratio(1.0, 3.0) == pytest.approx(
-            math.exp(-2 * math.pi / 3.0), rel=1e-12
+            math.exp(-2 * math.pi / 3.0), rel=1e-12, abs=0
         )
         assert rates.detailed_balance_ratio(1.0, 1e-3) == 0.0
 
@@ -201,7 +208,7 @@ class TestDetailedBalance:
         up = rates.rate_total(TwoLevelAtom(omega0, "ground"), a, 1.0).total
         down = rates.rate_total(TwoLevelAtom(omega0, "excited"), a, 1.0).total
         assert up / abs(down) == pytest.approx(
-            math.exp(-2 * math.pi * omega0 / a), rel=1e-12
+            math.exp(-2 * math.pi * omega0 / a), rel=1e-12, abs=0
         )
 
     def test_invalid(self):
@@ -215,26 +222,26 @@ class TestDetailedBalance:
 class TestEffectiveTemperature:
     def test_unruh_value(self):
         assert rates.effective_temperature(1.0, 2 * math.pi) == pytest.approx(
-            1.0, rel=1e-12
+            1.0, rel=1e-12, abs=0
         )
         assert rates.effective_temperature(3.0, 1.0) == pytest.approx(
-            1 / (2 * math.pi), rel=1e-12
+            1 / (2 * math.pi), rel=1e-12, abs=0
         )
         for a in (1e-3, 1e12):
             assert rates.effective_temperature(1.0, a) == pytest.approx(
-                a / (2 * math.pi), rel=1e-15
+                a / (2 * math.pi), rel=1e-15, abs=0
             )
 
     def test_frequency_independent(self):
         assert rates.effective_temperature(1.0, 4.0) == pytest.approx(
-            rates.effective_temperature(5.0, 4.0), rel=1e-12
+            rates.effective_temperature(5.0, 4.0), rel=1e-12, abs=0
         )
 
 
 class TestSiConversion:
     def test_hydrogen_scale(self):
         got = rates.si_acceleration_to_natural(3.0e24)
-        assert got == pytest.approx(1.0e16, rel=0.01)
+        assert got == pytest.approx(1.0e16, rel=0.01, abs=0)
 
     def test_edge_values(self):
         assert rates.si_acceleration_to_natural(0.0) == 0.0
@@ -276,7 +283,7 @@ class TestProperties:
         st.sampled_from(["ground", "excited"]),
     )
     def test_cross_negative(self, a, log_omega0, mu, level):
-        assert rates.rate_cross(TwoLevelAtom(10.0**log_omega0, level), a, mu) < 0
+        assert rates.rate_total(TwoLevelAtom(10.0**log_omega0, level), a, mu).cross < 0
 
     @settings(max_examples=100, database=None, deadline=None)
     @given(log_ratio, st.floats(min_value=1e-3, max_value=10.0), log_omega0)
