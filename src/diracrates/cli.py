@@ -6,6 +6,7 @@ failure, 4 identity failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -175,7 +176,6 @@ def cmd_verify(args) -> int:
     states = [args.state] if args.state else STATES
 
     entries = []
-    all_pass = True
     for a in accels:
         for st in states:
             atom = TwoLevelAtom(omega0, st)
@@ -186,23 +186,9 @@ def cmd_verify(args) -> int:
                     {"accel": a, "state": st, "error": str(exc),
                      "diagnostics": exc.diagnostics}
                 )
-                all_pass = False
                 continue
-            entries.append(
-                {
-                    "accel": a,
-                    "state": st,
-                    "numeric_vf": rep.numeric_vf,
-                    "closed_vf": rep.closed_vf,
-                    "numeric_cross": rep.numeric_cross,
-                    "closed_cross": rep.closed_cross,
-                    "rel_err_vf": rep.rel_err_vf,
-                    "rel_err_cross": rep.rel_err_cross,
-                    "quadrature": rep.quadrature,
-                    "passed": rep.passed,
-                }
-            )
-            all_pass = all_pass and rep.passed
+            entries.append({"accel": a, "state": st, **dataclasses.asdict(rep)})
+    all_pass = all(e.get("passed", False) for e in entries)
 
     if args.format == "json":
         print(
@@ -240,12 +226,10 @@ def cmd_selfcheck(args) -> int:
             f"{r.name}: {r.cases} cases checked, max deviation "
             f"{r.max_deviation:.2e} (tol {r.tolerance:g})  {status}"
         )
-    if all(r.passed for r in results):
-        return EXIT_OK
-    for r in results:
-        if not r.passed:
-            print(f"identity violated: {r.name}", file=sys.stderr)
-    return EXIT_IDENTITY
+    failed = [r.name for r in results if not r.passed]
+    for name in failed:
+        print(f"identity violated: {name}", file=sys.stderr)
+    return EXIT_IDENTITY if failed else EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -8,6 +8,7 @@ semantics; metric signature is (+,-,-,-).
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -47,9 +48,6 @@ class FourVector:
     def spatial_norm2(self) -> float:
         return self.x**2 + self.y**2 + self.z**2
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.t, self.x, self.y, self.z], dtype=float)
-
 
 def _build_gamma() -> tuple[Matrix4C, ...]:
     g0 = np.zeros((4, 4), dtype=complex)
@@ -86,8 +84,8 @@ def slash(k: FourVector) -> Matrix4C:
     )
 
 
-def boost_matrix(a: float, tau: float) -> Matrix4C:
-    """cosh(a tau/2) I + gamma^0 gamma^1 sinh(a tau/2).
+def boost_matrix(a: float, tau: complex) -> Matrix4C:
+    """cosh(a tau/2) I + gamma^0 gamma^1 sinh(a tau/2), for real or complex tau.
 
     One-parameter group of boosts in the t-x plane; the spinor transport
     matrix along the accelerated worldline is this with tau negated
@@ -97,7 +95,7 @@ def boost_matrix(a: float, tau: float) -> Matrix4C:
     if a <= 0:
         raise ValueError(f"acceleration must be positive, got {a}")
     half = 0.5 * a * tau
-    return math.cosh(half) * IDENTITY4 + math.sinh(half) * (_GAMMA[0] @ _GAMMA[1])
+    return cmath.cosh(half) * IDENTITY4 + cmath.sinh(half) * (_GAMMA[0] @ _GAMMA[1])
 
 
 def _rest_spinor(s: int, lower: bool) -> np.ndarray:

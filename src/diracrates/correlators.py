@@ -15,7 +15,7 @@ from typing import Literal
 
 import numpy as np
 
-from .clifford import _GAMMA, IDENTITY4, FourVector, Matrix4C
+from .clifford import _GAMMA, FourVector, Matrix4C, boost_matrix
 
 Branch = Literal["minus", "plus"]
 
@@ -92,13 +92,6 @@ def g_matrix(dtau: float, params: WorldlineParams) -> Matrix4C:
     return -dwightman_dz(interval_z(dtau, params, "minus")) * _GAMMA[0]
 
 
-def _transport(a: float, tau: complex) -> Matrix4C:
-    # Fermi-Walker transport matrix; generator gamma_0 gamma_1 carries
-    # lowered indices, hence the minus sign relative to boost_matrix.
-    half = 0.5 * a * tau
-    return cmath.cosh(half) * IDENTITY4 - cmath.sinh(half) * (_GAMMA[0] @ _GAMMA[1])
-
-
 def g_matrix_from_worldline(tau: float, tau_p: float, params: WorldlineParams) -> Matrix4C:
     """Two-time construction of g via transport-conjugation of the two-point matrix.
 
@@ -123,7 +116,8 @@ def g_matrix_from_worldline(tau: float, tau_p: float, params: WorldlineParams) -
     dG_dx = -dx / (2.0 * _PI2 * sigma * sigma)
     two_point = 1j * (dG_dt * _GAMMA[0] + dG_dx * _GAMMA[1])
 
-    return _transport(a, tau) @ two_point @ _transport(a, -tau_p_c)
+    # The transport matrix at tau is boost_matrix(a, -tau).
+    return boost_matrix(a, -tau) @ two_point @ boost_matrix(a, tau_p_c)
 
 
 def trace_pair(dtau: float, params: WorldlineParams, branch: Branch = "minus") -> complex:

@@ -35,12 +35,22 @@ class RateBreakdown(NamedTuple):
 
 def polynomial_factor(omega: float, a: float) -> float:
     """Acceleration correction 1 + 5 a^2/omega^2 + 4 a^4/omega^4."""
-    if omega == 0:
-        raise ValueError("omega must be nonzero")
-    if a < 0:
-        raise ValueError(f"acceleration must be nonnegative, got {a}")
-    r2 = (a / omega) ** 2
+    if omega == 0 or not math.isfinite(omega):
+        raise ValueError(f"omega must be nonzero and finite, got {omega}")
+    if not (0 <= a < math.inf):
+        raise ValueError(f"acceleration must be nonnegative and finite, got {a}")
+    try:
+        r2 = (a / omega) ** 2
+    except OverflowError:  # a float power raises where a product gives inf
+        r2 = math.inf
     return 1.0 + 5.0 * r2 + 4.0 * r2 * r2
+
+
+def _check_positive(omega0: float, a: float) -> None:
+    if not (0 < omega0 < math.inf and 0 < a < math.inf):
+        raise ValueError(
+            f"omega0 and a must be positive and finite, got omega0={omega0}, a={a}"
+        )
 
 
 def planck_number(omega: float, a: float) -> float:
@@ -49,8 +59,7 @@ def planck_number(omega: float, a: float) -> float:
     Beyond the range of expm1 (2 pi omega / a > ~709.78) this is
     e^{-2 pi omega / a} to double precision, subnormal and then 0.
     """
-    if omega <= 0 or a <= 0:
-        raise ValueError(f"omega and a must be positive, got omega={omega}, a={a}")
+    _check_positive(omega, a)
     x = 2.0 * math.pi * omega / a
     try:
         n = 1.0 / math.expm1(x)
@@ -65,14 +74,16 @@ def planck_number(omega: float, a: float) -> float:
 
 def rate_total(atom: TwoLevelAtom, a: float, mu: float) -> RateBreakdown:
     """The closed-form rates and their factors at one point, as a sweep row."""
-    if not (0 <= a < math.inf):
-        raise ValueError(f"acceleration must be nonnegative and finite, got {a}")
+    w = atom.omega0
+    f = polynomial_factor(w, a)  # checks a
     if not math.isfinite(mu):
         raise ValueError(f"coupling must be finite, got {mu}")
-    w = atom.omega0
-    f = polynomial_factor(w, a)
     n = planck_number(w, a) if a > 0 else 0.0
-    base = (mu * mu / _RATE_DENOM) * CHANNEL_WEIGHT * w**6 * f
+    try:
+        w6 = w**6
+    except OverflowError:  # as in polynomial_factor
+        w6 = math.inf
+    base = (mu * mu / _RATE_DENOM) * CHANNEL_WEIGHT * w6 * f
     mag = base * (1.0 + 2.0 * n)
     # The downward transition (excited) drains energy, the upward one feeds
     # it.  0.0 - x rather than -x keeps a zero rate +0.0.  The total is not
@@ -82,17 +93,10 @@ def rate_total(atom: TwoLevelAtom, a: float, mu: float) -> RateBreakdown:
     else:
         vf, total = mag, 2.0 * base * n
     cross = 0.0 - base
-    # Float products overflow to inf silently, unlike float powers.
+    # Overflow leaves inf here, or nan where a zero coupling meets inf.
     if not (math.isfinite(vf) and math.isfinite(cross) and math.isfinite(total)):
         raise OverflowError("rate out of double range")
     return RateBreakdown(a, vf, cross, total, f, n, a / (2.0 * math.pi))
-
-
-def _check_positive(omega0: float, a: float) -> None:
-    if not (0 < omega0 < math.inf and 0 < a < math.inf):
-        raise ValueError(
-            f"omega0 and a must be positive and finite, got omega0={omega0}, a={a}"
-        )
 
 
 def detailed_balance_ratio(omega0: float, a: float) -> float:

@@ -1,5 +1,6 @@
 """Command-line surface: formats, exit codes, determinism, config files."""
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -207,12 +208,15 @@ class TestVerify:
         report = json.loads(capsys.readouterr().out)
         assert report["passed"] is True
         entry = report["entries"][0]
-        for key in (
+        # README's key order.
+        assert list(entry) == [
             "accel", "state", "numeric_vf", "closed_vf", "numeric_cross",
             "closed_cross", "rel_err_vf", "rel_err_cross", "quadrature",
             "passed",
-        ):
-            assert key in entry
+        ]
+        assert list(entry["quadrature"]) == [
+            "s", "h", "nodes", "Y", "error_estimate_vf", "error_estimate_cross"
+        ]
 
     @pytest.mark.parametrize(
         "omega0, accel",
@@ -270,6 +274,7 @@ class TestVerify:
         )
         assert code == 3
         (entry,) = strict_json(capsys.readouterr().out)["entries"]
+        assert list(entry) == ["accel", "state", "error", "diagnostics"]
         assert "above the limit" in entry["error"]
         assert entry["diagnostics"]["nodes"] is None
 
@@ -281,6 +286,20 @@ class TestSelfcheck:
         out = capsys.readouterr().out
         assert "16 cases checked" in out
         assert out.count("pass") == 4
+
+    def test_failed_suite_exit_4(self, monkeypatch, capsys):
+        from diracrates import selfcheck
+
+        results = selfcheck.run_all()
+        bad = dataclasses.replace(results[1], max_deviation=math.inf)
+        monkeypatch.setattr(
+            selfcheck, "run_all", lambda: [results[0], bad, *results[2:]]
+        )
+        assert run_cli(["selfcheck"]) == 4
+        captured = capsys.readouterr()
+        fail_lines = [l for l in captured.out.splitlines() if l.endswith("FAIL")]
+        assert len(fail_lines) == 1 and fail_lines[0].startswith(f"{bad.name}:")
+        assert captured.err == f"identity violated: {bad.name}\n"
 
 
 class TestConfigFile:
@@ -429,30 +448,37 @@ def test_readme_cli_examples(argv, tmp_path, monkeypatch, capsys):
     assert run_cli(argv) == 0
 
 
+# (argv, whether the error is an overflow). The ids argvN number the rows,
+# so new rows go at the end.
+BAD_NUMBERS = [
+    (["rate", "--accel", "nan"], False),
+    (["rate", "--accel", "inf"], False),
+    (["rate", "--accel", "1e308"], True),
+    (["rate", "--omega0", "1e60", "--accel", "1"], True),
+    (["rate", "--omega0", "nan"], False),
+    (["rate", "--accel", "1", "--coupling", "inf"], False),
+    (["rate", "--accel", "1", "--coupling", "1e200"], True),
+    # The closed forms leave double range, and so does the oracle.
+    (["verify", "--accel", "1e63"], True),
+    (["verify", "--accel", "nan"], False),
+    (["verify", "--omega0", "1e-60", "--accel", "1e-60"], False),
+    # 2 pi omega0 / a underflows to 0: the rates are infinite.
+    (["rate", "--omega0", "1e-200", "--accel", "1e200"], True),
+    (["rate", "--omega0", "1e-300", "--accel", "1e30"], True),
+    (["sweep", "--omega0", "1e-300", "--accel-min", "0", "--accel-max", "1e30",
+      "--points", "2"], True),
+    (["verify", "--omega0", "1e-300", "--accel", "1e30"], True),
+    (["verify", "--accel", "1", "--tol", "inf"], False),
+    # Float powers raise OverflowError where products give inf.
+    (["rate", "--accel", "1e200"], True),
+    (["verify", "--omega0", "1e60", "--accel", "1"], True),
+]
+
+
 @pytest.mark.parametrize(
-    "argv",
-    [
-        ["rate", "--accel", "nan"],
-        ["rate", "--accel", "inf"],
-        ["rate", "--accel", "1e308"],
-        ["rate", "--omega0", "1e60", "--accel", "1"],
-        ["rate", "--omega0", "nan"],
-        ["rate", "--accel", "1", "--coupling", "inf"],
-        ["rate", "--accel", "1", "--coupling", "1e200"],
-        # The closed forms leave double range, and so does the oracle.
-        ["verify", "--accel", "1e63"],
-        ["verify", "--accel", "nan"],
-        ["verify", "--omega0", "1e-60", "--accel", "1e-60"],
-        # 2 pi omega0 / a underflows to 0: the rates are infinite.
-        ["rate", "--omega0", "1e-200", "--accel", "1e200"],
-        ["rate", "--omega0", "1e-300", "--accel", "1e30"],
-        ["sweep", "--omega0", "1e-300", "--accel-min", "0", "--accel-max", "1e30",
-         "--points", "2"],
-        ["verify", "--omega0", "1e-300", "--accel", "1e30"],
-        ["verify", "--accel", "1", "--tol", "inf"],
-    ],
+    "argv, overflow", BAD_NUMBERS, ids=[f"argv{i}" for i in range(len(BAD_NUMBERS))]
 )
-def test_bad_number_exit_2(argv, capsys):
+def test_bad_number_exit_2(argv, overflow, capsys):
     # A traceback here would surface as an exception other than SystemExit.
     # sweep has no --format flag; it always writes CSV.
     if argv[0] != "sweep":
@@ -463,6 +489,9 @@ def test_bad_number_exit_2(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    if overflow:
+        assert captured.err.endswith("out of double range)\n")
+        assert "(34," not in captured.err
 
 
 def main_exit(argv):
@@ -539,6 +568,7 @@ def test_any_float_gives_documented_exit(command, data):
     assert code in (0, 1, 2, 3, 4)
     if code in (1, 2):
         assert err.getvalue().startswith(("error:", "usage:"))
+        assert "Numerical result out of range" not in err.getvalue()
     if fmt == "json" and code in (0, 3):
         strict_json(out.getvalue())
 

@@ -95,6 +95,17 @@ class TestBoost:
                     lhs, rhs, rtol=1e-13, atol=1e-13 * np.max(np.abs(rhs))
                 )
 
+    def test_complex_tau(self):
+        # The group law holds off the real line; a tau/2 = i pi is -I.
+        t1, t2 = 0.3 + 0.4j, -1.1 + 2.0j
+        np.testing.assert_allclose(
+            clifford.boost_matrix(2.0, t1) @ clifford.boost_matrix(2.0, t2),
+            clifford.boost_matrix(2.0, t1 + t2), rtol=1e-13, atol=1e-13,
+        )
+        np.testing.assert_allclose(
+            clifford.boost_matrix(2.0, math.pi * 1j), -np.eye(4), atol=1e-15
+        )
+
     def test_nonpositive_acceleration(self):
         with pytest.raises(ValueError):
             clifford.boost_matrix(0.0, 1.0)

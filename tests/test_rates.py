@@ -28,6 +28,18 @@ class TestPolynomialFactor:
         with pytest.raises(ValueError):
             rates.polynomial_factor(0.0, 1.0)
 
+    @pytest.mark.parametrize(
+        "omega, a", [(1.0, math.nan), (1.0, math.inf), (math.nan, 1.0),
+                     (math.inf, 1.0), (-math.inf, 1.0)]
+    )
+    def test_non_finite_rejected(self, omega, a):
+        with pytest.raises(ValueError, match="finite"):
+            rates.polynomial_factor(omega, a)
+
+    def test_power_overflow_gives_inf(self):
+        # (a/omega)^2 leaves double range; a float power would raise.
+        assert rates.polynomial_factor(1.0, 1e200) == math.inf
+
 
 class TestPlanckNumber:
     def test_ln2_point(self):
@@ -62,6 +74,14 @@ class TestPlanckNumber:
             rates.planck_number(-1.0, 1.0)
         with pytest.raises(ValueError):
             rates.planck_number(1.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "omega, a", [(1.0, math.nan), (math.nan, 1.0), (math.inf, 1.0),
+                     (1.0, math.inf)]
+    )
+    def test_non_finite_rejected(self, omega, a):
+        with pytest.raises(ValueError, match="finite"):
+            rates.planck_number(omega, a)
 
 
 class TestRateVf:
