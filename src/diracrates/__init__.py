@@ -10,6 +10,7 @@ from .rates import (
     effective_temperature,
     planck_number,
     polynomial_factor,
+    rate_rows,
     rate_total,
     si_acceleration_to_natural,
 )
@@ -44,6 +45,7 @@ __all__ = [
     "gamma_matrix",
     "planck_number",
     "polynomial_factor",
+    "rate_rows",
     "rate_total",
     "rindler_event",
     "si_acceleration_to_natural",

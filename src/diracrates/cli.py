@@ -11,10 +11,11 @@ import json
 import math
 import sys
 from pathlib import Path
+from typing import Iterator
 
 # `oracle` and `selfcheck` import numpy, so `cmd_verify` and `cmd_selfcheck`
 # import them when called: `rate` and `sweep` run without numpy.
-from . import rates
+from . import __version__, rates
 from .atom import TwoLevelAtom
 
 EXIT_OK = 0
@@ -121,7 +122,7 @@ def cmd_rate(args) -> int:
     }
 
     if args.format == "json":
-        print(json.dumps(fields, indent=2))
+        print(json.dumps({**fields, "version": __version__}, indent=2))
     elif args.format == "csv":
         print(",".join(RATE_CSV_KEYS))
         print(",".join(_text(fields[k], _machine) for k in RATE_CSV_KEYS))
@@ -134,13 +135,13 @@ def cmd_rate(args) -> int:
     return EXIT_OK
 
 
-def _sweep_grid(amin: float, amax: float, points: int, scale: str) -> list[float]:
+def _sweep_grid(amin: float, amax: float, points: int, scale: str) -> Iterator[float]:
     if scale == "log":
         if amin <= 0:
             raise ValueError("log scale requires accel-min > 0")
         lo, hi = math.log(amin), math.log(amax)
-        return [math.exp(lo + (hi - lo) * i / (points - 1)) for i in range(points)]
-    return [amin + (amax - amin) * i / (points - 1) for i in range(points)]
+        return (math.exp(lo + (hi - lo) * i / (points - 1)) for i in range(points))
+    return (amin + (amax - amin) * i / (points - 1) for i in range(points))
 
 
 def cmd_sweep(args) -> int:
@@ -149,14 +150,12 @@ def cmd_sweep(args) -> int:
         raise ValueError("need accel_min >= 0, accel_max > accel_min, points >= 2")
 
     atom = TwoLevelAtom(args.omega0, args.state)
-    # Every row is computed before anything is written, so an error leaves
-    # no partial output.
+    grid = _sweep_grid(amin, amax, points, args.scale)
+    # Every row is computed and formatted before anything is written, so an
+    # error leaves no partial output.
     template = ",".join(["%.17g"] * 7) + "\n"
     lines = [SWEEP_HEADER + "\n"]
-    lines += [
-        template % rates.rate_total(atom, a, args.coupling)
-        for a in _sweep_grid(amin, amax, points, args.scale)
-    ]
+    lines += [template % row for row in rates.rate_rows(atom, grid, args.coupling)]
     if args.output:
         with open(args.output, "w") as fh:
             fh.writelines(lines)
@@ -166,6 +165,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    import numpy
+
     from . import oracle
 
     omega0, coupling, tol = args.omega0, args.coupling, args.tol
@@ -194,7 +195,8 @@ def cmd_verify(args) -> int:
         print(
             json.dumps(
                 {"omega0": omega0, "coupling": coupling, "tol": tol,
-                 "entries": entries, "passed": all_pass},
+                 "entries": entries, "passed": all_pass,
+                 "version": __version__, "numpy_version": numpy.__version__},
                 indent=2,
             )
         )

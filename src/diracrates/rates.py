@@ -1,9 +1,10 @@
 """Closed-form rates of change of the atomic energy.
 
-`rate_total` computes the vacuum-fluctuation and cross-term contributions
+`rate_rows` computes the vacuum-fluctuation and cross-term contributions
 for a uniformly accelerated two-level atom and their total, with the
-polynomial factor, the Planck number and the temperature a/2pi, as one
-`RateBreakdown` row; it is the only place a closed-form point is computed.
+polynomial factor, the Planck number and the temperature a/2pi, as one row
+per acceleration; it is the only loop that computes closed-form points, and
+`rate_total` is its one-point case, returning a `RateBreakdown`.
 Also the detailed-balance ratio, the effective temperature and an SI
 acceleration conversion helper.  Natural units (hbar = c = 1) throughout;
 energies per unit proper time.
@@ -11,7 +12,8 @@ energies per unit proper time.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+import sys
+from typing import Iterable, Iterator, NamedTuple
 
 from .atom import CHANNEL_WEIGHT, TwoLevelAtom
 
@@ -72,31 +74,77 @@ def planck_number(omega: float, a: float) -> float:
     return n
 
 
-def rate_total(atom: TwoLevelAtom, a: float, mu: float) -> RateBreakdown:
-    """The closed-form rates and their factors at one point, as a sweep row."""
+def rate_rows(atom: TwoLevelAtom, accels: Iterable[float], mu: float) -> Iterator[tuple]:
+    """The closed-form rates and their factors at each a, as sweep rows.
+
+    Yields plain tuples in `RateBreakdown`'s field order.  This is the one
+    loop that computes closed-form points: it inlines `polynomial_factor`
+    and `planck_number` with their operation order and messages, and does
+    per a only what depends on a.  Each a is checked before mu, so a bad
+    first point is named ahead of a bad coupling.
+    """
     w = atom.omega0
-    f = polynomial_factor(w, a)  # checks a
-    if not math.isfinite(mu):
-        raise ValueError(f"coupling must be finite, got {mu}")
-    n = planck_number(w, a) if a > 0 else 0.0
+    mu_ok = math.isfinite(mu)
+    excited = atom.omega_bd > 0
+    pref = (mu * mu / _RATE_DENOM) * CHANNEL_WEIGHT
     try:
         w6 = w**6
-    except OverflowError:  # as in polynomial_factor
+    except OverflowError:  # a float power raises where a product gives inf
         w6 = math.inf
-    base = (mu * mu / _RATE_DENOM) * CHANNEL_WEIGHT * w6 * f
-    mag = base * (1.0 + 2.0 * n)
-    # The downward transition (excited) drains energy, the upward one feeds
-    # it.  0.0 - x rather than -x keeps a zero rate +0.0.  The total is not
-    # vf + cross, which cancels to rounding for the ground level at small n.
-    if atom.omega_bd > 0:
-        vf, total = 0.0 - mag, 0.0 - 2.0 * base * (1.0 + n)
-    else:
-        vf, total = mag, 2.0 * base * n
-    cross = 0.0 - base
-    # Overflow leaves inf here, or nan where a zero coupling meets inf.
-    if not (math.isfinite(vf) and math.isfinite(cross) and math.isfinite(total)):
-        raise OverflowError("rate out of double range")
-    return RateBreakdown(a, vf, cross, total, f, n, a / (2.0 * math.pi))
+    pref_w6 = pref * w6
+    # Below the normal range w**6 loses its bits while f may be huge; there
+    # w^6 f is formed as w^6 + 5 (a w^2)^2 + 4 (a^2 w)^2 instead.
+    tiny_w6 = w6 < sys.float_info.min
+    two_pi, two_pi_w = 2.0 * math.pi, 2.0 * math.pi * w
+    inf, expm1, exp = math.inf, math.expm1, math.exp
+    for a in accels:
+        if not (0 <= a < inf):
+            raise ValueError(f"acceleration must be nonnegative and finite, got {a}")
+        if not mu_ok:
+            raise ValueError(f"coupling must be finite, got {mu}")
+        try:
+            r2 = (a / w) ** 2
+        except OverflowError:
+            r2 = inf
+        f = 1.0 + 5.0 * r2 + 4.0 * r2 * r2
+        if a > 0:
+            x = two_pi_w / a
+            try:
+                n = 1.0 / expm1(x)
+            except OverflowError:  # expm1 overflows beyond x ~ 709.78
+                n = exp(-x)
+            except ZeroDivisionError:  # x underflowed to 0
+                n = inf
+            if n == inf:
+                raise OverflowError("thermal occupation out of double range")
+        else:
+            n = 0.0
+        if tiny_w6 and f < inf:
+            aw2, a2w = a * w * w, a * a * w
+            base = pref * (w6 + 5.0 * aw2 * aw2 + 4.0 * a2w * a2w)
+        else:
+            base = pref_w6 * f
+        mag = base * (1.0 + 2.0 * n)
+        # The downward transition (excited) drains energy, the upward one
+        # feeds it.  0.0 - x rather than -x keeps a zero rate +0.0.  The
+        # total is not vf + cross, which cancels to rounding for the ground
+        # level at small n.
+        if excited:
+            vf, total = 0.0 - mag, 0.0 - 2.0 * base * (1.0 + n)
+        else:
+            vf, total = mag, 2.0 * base * n
+        cross = 0.0 - base
+        # Overflow leaves inf here, or nan where a zero coupling meets inf.
+        if not (-inf < vf < inf and -inf < cross < inf and -inf < total < inf):
+            raise OverflowError("rate out of double range")
+        yield (a, vf, cross, total, f, n, a / two_pi)
+
+
+def rate_total(atom: TwoLevelAtom, a: float, mu: float) -> RateBreakdown:
+    """The closed-form rates and their factors at one point, as a sweep row:
+    the one-point case of `rate_rows`."""
+    (row,) = rate_rows(atom, (a,), mu)
+    return RateBreakdown._make(row)
 
 
 def detailed_balance_ratio(omega0: float, a: float) -> float:

@@ -1,6 +1,7 @@
 """Command-line surface: formats, exit codes, determinism, config files."""
 import contextlib
 import dataclasses
+import hashlib
 import io
 import json
 import math
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import diracrates
 from diracrates import cli
 
 
@@ -84,6 +86,28 @@ class TestRate:
         assert code == 0
         out = json.loads(capsys.readouterr().out)
         assert out["planck_n"] == math.exp(-2 * math.pi / 0.0086) > 0
+
+    def test_small_omega0_not_zero(self, capsys):
+        # omega0^6 underflows to 0; omega0^6 f ~ 4 a^4 omega0^2 does not.
+        code = run_cli(["rate", "--omega0", "1e-60", "--accel", "1", "--format", "csv"])
+        assert code == 0
+        header, row = capsys.readouterr().out.splitlines()
+        out = dict(zip(header.split(","), row.split(",")))
+        cross = -4e-120 / (480 * math.pi**3)
+        assert float(out["rate_cross"]) == pytest.approx(cross, rel=1e-14, abs=0)
+        assert out["rate_vf"] == out["rate_total"]
+        assert float(out["rate_total"]) == pytest.approx(8.555e-65, rel=1e-4, abs=0)
+
+    def test_json_version(self, capsys):
+        run_cli(["rate", "--accel", "1", "--format", "json"])
+        out = json.loads(capsys.readouterr().out)
+        assert list(out)[-1] == "version"
+        assert out["version"] == diracrates.__version__
+
+    @pytest.mark.parametrize("fmt", ["human", "csv"])
+    def test_no_version_outside_json(self, fmt, capsys):
+        run_cli(["rate", "--accel", "1", "--format", fmt])
+        assert "version" not in capsys.readouterr().out
 
     def test_usage_error_exit_2(self, capsys):
         with pytest.raises(SystemExit) as err:
@@ -174,6 +198,38 @@ class TestSweep:
             header, line = capsys.readouterr().out.splitlines()
             as_rate = dict(zip(header.split(","), line.split(",")))
             assert [as_rate[k] for k in keys] == fields
+
+    @pytest.mark.parametrize(
+        "argv, sha256",
+        [
+            (["--scale", "log", "--accel-min", "0.01", "--accel-max", "1e6",
+              "--points", "10000", "--state", "ground", "--omega0", "1"],
+             "c534c27aa35f8018169e60b26e24a33ed7face65b3807a7a7d52ff7efe8a1913"),
+            (["--accel-min", "0", "--accel-max", "100", "--points", "10000",
+              "--state", "excited", "--omega0", "3.7", "--coupling", "0.3"],
+             "b704fae932ee42c056c4bcfa37080a2226acbb5503a2416c94be4ee35d9eb60c"),
+            # Crosses expm1's overflow band, 2 pi omega0 / a in (709.78, 745].
+            (["--accel-min", "0", "--accel-max", "0.009", "--points", "20000"],
+             "f96df268d5c087911e478ed8131f331992ee9c9f501154b1333931c32e323785"),
+        ],
+        ids=["log-ground", "linear-excited", "expm1-band"],
+    )
+    def test_golden_bytes(self, argv, sha256, tmp_path):
+        # Any change that moves a bit of a sweep CSV fails here.
+        out = tmp_path / "sweep.csv"
+        assert run_cli(["sweep", "--output", str(out)] + argv) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+
+    def test_small_omega0_row_matches_rate(self, capsys):
+        run_cli(["sweep", "--omega0", "1e-60", "--accel-min", "0", "--accel-max", "1",
+                 "--points", "2"])
+        last = capsys.readouterr().out.splitlines()[-1]
+        run_cli(["rate", "--omega0", "1e-60", "--accel", "1", "--format", "csv"])
+        rate_row = capsys.readouterr().out.splitlines()[1].split(",")
+        assert last.split(",") == [rate_row[1]] + rate_row[4:]
+        assert float(last.split(",")[2]) == pytest.approx(
+            -4e-120 / (480 * math.pi**3), rel=1e-14, abs=0
+        )
 
     def test_error_leaves_no_output(self, tmp_path):
         # The rates overflow part-way through the grid.
@@ -277,6 +333,21 @@ class TestVerify:
         assert list(entry) == ["accel", "state", "error", "diagnostics"]
         assert "above the limit" in entry["error"]
         assert entry["diagnostics"]["nodes"] is None
+
+
+    def test_json_versions(self, capsys):
+        import numpy
+
+        run_cli(["verify", "--accel", "1", "--state", "ground", "--format", "json"])
+        report = json.loads(capsys.readouterr().out)
+        assert list(report)[-2:] == ["version", "numpy_version"]
+        assert report["version"] == diracrates.__version__
+        assert report["numpy_version"] == numpy.__version__
+        assert "version" not in report["entries"][0]
+
+    def test_no_version_in_human_output(self, capsys):
+        run_cli(["verify", "--accel", "1", "--state", "ground"])
+        assert "version" not in capsys.readouterr().out
 
 
 class TestSelfcheck:
@@ -523,6 +594,32 @@ def test_readme_error_shapes(argv, code, usage, tmp_path, monkeypatch, capsys):
         assert lines[-1].startswith("diracrates rate: error:")
     else:
         assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["rate", "--accel", "nan", "--coupling", "nan"],
+         "error: acceleration must be nonnegative and finite, got nan\n"),
+        (["rate", "--accel", "1", "--coupling", "nan"],
+         "error: coupling must be finite, got nan\n"),
+        (["sweep", "--accel-max", "1", "--coupling", "nan"],
+         "error: coupling must be finite, got nan\n"),
+        (["sweep", "--accel-max", "1", "--scale", "log", "--coupling", "nan"],
+         "error: log scale requires accel-min > 0\n"),
+        # omega0^6 f is finite, but f, a printed field, is not.
+        (["rate", "--omega0", "1e-100", "--accel", "1", "--format", "csv"],
+         "error: result out of double range (rate out of double range)\n"),
+        (["sweep", "--omega0", "1e-100", "--accel-max", "1", "--points", "2"],
+         "error: result out of double range (rate out of double range)\n"),
+    ],
+)
+def test_error_precedence(argv, message, capsys):
+    # The first failing check names the error, as it always has.
+    assert main_exit(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message
 
 
 # Drawn often on purpose; st.floats() alone reaches each only rarely.

@@ -19,6 +19,7 @@ HOME = {
     "gamma_matrix": "clifford",
     "planck_number": "rates",
     "polynomial_factor": "rates",
+    "rate_rows": "rates",
     "rate_total": "rates",
     "rindler_event": "correlators",
     "si_acceleration_to_natural": "rates",
@@ -30,7 +31,7 @@ HOME = {
 
 
 def test_all_lists_the_public_names():
-    assert len(HOME) == 19
+    assert len(HOME) == 20
     assert diracrates.__all__ == sorted(HOME)
 
 

@@ -204,6 +204,78 @@ class TestRateTotal:
         assert rates.rate_total(TwoLevelAtom(1.7), 0.0, 0.3)[6] == 0.0
 
 
+class TestSmallOmega0:
+    # omega0^6 is subnormal or 0 below omega0 ~ 1.2e-51, while f is huge;
+    # their product, ~4 a^4 omega0^2, is a normal float.
+    def test_rates_not_zero(self):
+        omega0 = 1e-60
+        rb = rates.rate_total(TwoLevelAtom(omega0, "ground"), 1.0, 1.0)
+        assert rb.cross == pytest.approx(-4e-120 / (480 * PI3), rel=1e-14, abs=0)
+        n = rates.planck_number(omega0, 1.0)
+        assert rb.planck_n == n
+        assert rb.vf == rb.total == pytest.approx(-2 * rb.cross * n, rel=1e-14, abs=0)
+
+    def test_excited_level(self):
+        rb = rates.rate_total(TwoLevelAtom(1e-60, "excited"), 1.0, 1.0)
+        assert rb.cross == pytest.approx(-4e-120 / (480 * PI3), rel=1e-14, abs=0)
+        n = rb.planck_n
+        assert rb.vf == pytest.approx(rb.cross * (1 + 2 * n), rel=1e-14, abs=0)
+        assert rb.total == pytest.approx(2 * rb.cross * (1 + n), rel=1e-14, abs=0)
+
+    def test_infinite_factor_still_overflows(self):
+        # f itself is out of double range, and it is a printed field.
+        with pytest.raises(OverflowError, match="rate out of double range"):
+            rates.rate_total(TwoLevelAtom(1e-100, "ground"), 1.0, 1.0)
+
+
+def bits(values):
+    """Each value's exact bits, with the sign of a zero."""
+    return [float(v).hex() for v in values]
+
+
+# A grid of accelerations as ratios to omega0: a = 0, the expm1 overflow
+# band, and log-uniform ratios up to 1e6.
+ratios = st.lists(
+    st.sampled_from([0.0, 2 * math.pi / 720.0, 2 * math.pi / 744.0])
+    | st.floats(min_value=2 * math.pi / 745.0, max_value=2 * math.pi / 709.0)
+    | st.floats(min_value=-3.0, max_value=6.0).map(lambda x: 10.0**x),
+    min_size=1, max_size=20,
+)
+
+
+class TestRateRows:
+    @settings(max_examples=100, database=None, deadline=None)
+    @given(ratios, st.floats(min_value=-60.0, max_value=40.0),
+           st.floats(min_value=1e-3, max_value=1e3),
+           st.sampled_from(["ground", "excited"]))
+    def test_each_row_is_rate_total(self, ratios, log_omega0, mu, level):
+        atom = TwoLevelAtom(10.0**log_omega0, level)
+        grid = [atom.omega0 * r for r in ratios]
+        rows = list(rates.rate_rows(atom, grid, mu))
+        assert len(rows) == len(grid)
+        for a, row in zip(grid, rows):
+            assert type(row) is tuple
+            assert bits(row) == bits(rates.rate_total(atom, a, mu))
+
+    @settings(max_examples=100, database=None, deadline=None)
+    @given(ratios, st.floats(min_value=-60.0, max_value=40.0),
+           st.floats(min_value=1e-3, max_value=1e3),
+           st.sampled_from(["ground", "excited"]))
+    def test_inlined_factors_match(self, ratios, log_omega0, mu, level):
+        # The loop inlines polynomial_factor and planck_number; where
+        # omega0^6 is normal, the cross term is -(mu^2 W / 120 pi^3) w^6 f
+        # in that order, as before the small-omega0 form existed.
+        w = 10.0**log_omega0
+        grid = [w * r for r in ratios]
+        for a, row in zip(grid, rates.rate_rows(TwoLevelAtom(w, level), grid, mu)):
+            f, n = row[4], row[5]
+            assert bits([f]) == bits([rates.polynomial_factor(w, a)])
+            assert bits([n]) == bits([rates.planck_number(w, a) if a > 0 else 0.0])
+            if w**6 >= sys.float_info.min:
+                base = (mu * mu / (120.0 * PI3)) * 0.25 * w**6 * f
+                assert bits([row[2]]) == bits([0.0 - base])
+
+
 class TestDetailedBalance:
     def test_ln2_ratio(self):
         omega0 = 1.0
