@@ -148,6 +148,8 @@ def cmd_sweep(args) -> int:
     amin, amax, points = args.accel_min, args.accel_max, args.points
     if not (amax > amin >= 0) or points < 2:
         raise ValueError("need accel_min >= 0, accel_max > accel_min, points >= 2")
+    if amax == math.inf:  # the grid would give nan (0 * inf)
+        raise ValueError(f"accel_max must be finite, got {amax}")
 
     atom = TwoLevelAtom(args.omega0, args.state)
     grid = _sweep_grid(amin, amax, points, args.scale)

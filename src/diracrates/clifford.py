@@ -150,7 +150,3 @@ def spin_sum_v(k: FourVector, m: float) -> Matrix4C:
         np.outer(spinor_v(k, s, m), dirac_adjoint(spinor_v(k, s, m)))
         for s in (1, 2)
     )
-
-
-def trace(a: Matrix4C) -> complex:
-    return complex(np.trace(a))

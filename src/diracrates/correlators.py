@@ -1,10 +1,10 @@
 """Field correlators along the uniformly accelerated worldline.
 
-The massless two-point machinery: the Rindler trajectory, the
-regularized interval z, the scalar Wightman function and its
-derivative, the transported two-point matrix g, the two-point trace
-combination, and the symmetric/antisymmetric statistical functions of
-the field in closed form.
+The massless two-point machinery: the regularized interval z, the
+scalar Wightman function and its derivative, the transported two-point
+matrix g, the two-point trace combination, and the
+symmetric/antisymmetric statistical functions of the field in closed
+form.
 """
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ from typing import Literal
 
 import numpy as np
 
-from .clifford import _GAMMA, FourVector, Matrix4C, boost_matrix
+from .clifford import _GAMMA, Matrix4C, boost_matrix
 
 Branch = Literal["minus", "plus"]
 
@@ -53,13 +53,6 @@ class StatFunctionPair:
 
     c_f: complex
     chi_f: complex
-
-
-def rindler_event(tau: float, a: float) -> FourVector:
-    """Event on the uniformly accelerated trajectory at proper time tau."""
-    if a <= 0:
-        raise ValueError(f"acceleration must be positive, got {a}")
-    return FourVector(math.sinh(a * tau) / a, math.cosh(a * tau) / a, 0.0, 0.0)
 
 
 def interval_z(dtau: float, params: WorldlineParams, branch: Branch = "minus") -> complex:

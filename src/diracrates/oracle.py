@@ -13,6 +13,7 @@ residue sums behind the closed forms, so agreement is an independent check.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,9 +34,9 @@ _MAX_NODES = 1_000_000
 class ConvergenceError(RuntimeError):
     """The quadrature cannot meet the tolerance, or its grid would be too large."""
 
-    def __init__(self, message: str, diagnostics: dict | None = None):
+    def __init__(self, message: str, diagnostics: dict):
         super().__init__(message)
-        self.diagnostics = diagnostics or {}
+        self.diagnostics = diagnostics
 
 
 @dataclass(frozen=True)
@@ -107,9 +108,11 @@ def verify_rates(
     if not (0 < tol < math.inf):
         raise ValueError(f"tol must be positive and finite, got {tol}")
     closed = rates.rate_total(atom, a, mu)
-    if closed.vf == 0 or closed.cross == 0:
+    # A subnormal closed rate carries too few bits for a relative check.
+    if min(abs(closed.vf), abs(closed.cross)) < sys.float_info.min:
         raise ValueError(
-            f"rates underflow to zero at omega0={atom.omega0}, a={a}, mu={mu}"
+            f"rates underflow to subnormal or zero at omega0={atom.omega0}, "
+            f"a={a}, mu={mu}"
         )
     with np.errstate(all="ignore"):  # an overflow leaves a sum inf or nan
         t_h, t_2h, grid = _line_sums(atom, a)

@@ -5,9 +5,8 @@ for a uniformly accelerated two-level atom and their total, with the
 polynomial factor, the Planck number and the temperature a/2pi, as one row
 per acceleration; it is the only loop that computes closed-form points, and
 `rate_total` is its one-point case, returning a `RateBreakdown`.
-Also the detailed-balance ratio, the effective temperature and an SI
-acceleration conversion helper.  Natural units (hbar = c = 1) throughout;
-energies per unit proper time.
+Also the detailed-balance ratio and an SI acceleration conversion helper.
+Natural units (hbar = c = 1) throughout; energies per unit proper time.
 """
 from __future__ import annotations
 
@@ -157,12 +156,6 @@ def detailed_balance_ratio(omega0: float, a: float) -> float:
     """
     _check_positive(omega0, a)
     return math.exp(-2.0 * math.pi * omega0 / a)
-
-
-def effective_temperature(omega0: float, a: float) -> float:
-    """Temperature read off detailed balance, omega0 / ln(1/ratio) = a/2pi."""
-    _check_positive(omega0, a)
-    return a / (2.0 * math.pi)
 
 
 def si_acceleration_to_natural(a_si: float) -> float:

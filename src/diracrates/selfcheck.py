@@ -42,8 +42,9 @@ def check_gamma_algebra() -> CheckResult:
     return CheckResult("gamma anticommutators", cases, worst, 0.0)
 
 
-def check_boost_group(a: float = 1.0) -> CheckResult:
+def check_boost_group() -> CheckResult:
     """Composition, inverse, gamma^0 conjugation, and squared-unitarity."""
+    a = 1.0
     taus = np.arange(-5.0, 5.5, 1.0)
     g0 = clifford.gamma_matrix(0)
     worst = 0.0
@@ -69,9 +70,10 @@ def check_boost_group(a: float = 1.0) -> CheckResult:
     return CheckResult("boost group identities", cases, worst, 1e-13)
 
 
-def check_spin_sums(n_momenta: int = 100, m: float = 1.0, seed: int = 7) -> CheckResult:
-    """Spin sums reproduce (slash(k) +- m)/2m for random on-shell momenta."""
-    rng = np.random.default_rng(seed)
+def check_spin_sums() -> CheckResult:
+    """Spin sums reproduce (slash(k) +- m)/2m for 100 random on-shell momenta."""
+    n_momenta, m = 100, 1.0
+    rng = np.random.default_rng(7)
     worst = 0.0
     for _ in range(n_momenta):
         kvec = rng.normal(scale=2.0, size=3)

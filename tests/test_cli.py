@@ -1,4 +1,5 @@
 """Command-line surface: formats, exit codes, determinism, config files."""
+import argparse
 import contextlib
 import dataclasses
 import hashlib
@@ -6,6 +7,7 @@ import io
 import json
 import math
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -291,6 +293,14 @@ class TestVerify:
             max(e["rel_err_vf"], e["rel_err_cross"]) < 1e-12 for e in entries
         )
 
+    def test_smallest_normal_rates_pass(self, capsys):
+        # vf and cross ~1e-303, normal floats: the relative check holds.
+        code = run_cli(
+            ["verify", "--accel", "1", "--coupling", "1e-150", "--state", "ground"]
+        )
+        assert code == 0
+        assert "overall: pass" in capsys.readouterr().out
+
     def test_unreachable_tolerance_exit_3(self, capsys):
         # At a/omega = 10 the trapezoid error estimate is ~1e-8 relative.
         code = run_cli(
@@ -543,6 +553,11 @@ BAD_NUMBERS = [
     # Float powers raise OverflowError where products give inf.
     (["rate", "--accel", "1e200"], True),
     (["verify", "--omega0", "1e60", "--accel", "1"], True),
+    # Closed rates that are 0 or subnormal carry too few bits to compare.
+    (["verify", "--accel", "1", "--coupling", "1e-200"], False),
+    (["verify", "--accel", "1", "--coupling", "1e-159", "--state", "ground"], False),
+    (["verify", "--accel", "1", "--coupling", "3e-160", "--state", "ground"], False),
+    (["verify", "--omega0", "1e-55", "--accel", "1e-52", "--state", "ground"], False),
 ]
 
 
@@ -612,6 +627,11 @@ def test_readme_error_shapes(argv, code, usage, tmp_path, monkeypatch, capsys):
          "error: result out of double range (rate out of double range)\n"),
         (["sweep", "--omega0", "1e-100", "--accel-max", "1", "--points", "2"],
          "error: result out of double range (rate out of double range)\n"),
+        # The grid would compute 0 * inf = nan; the bound is named instead.
+        (["sweep", "--accel-max", "inf"],
+         "error: accel_max must be finite, got inf\n"),
+        (["sweep", "--accel-min", "1", "--accel-max", "inf", "--scale", "log"],
+         "error: accel_max must be finite, got inf\n"),
     ],
 )
 def test_error_precedence(argv, message, capsys):
@@ -697,6 +717,36 @@ def startup_steps(argvs):
         capture_output=True, text=True, env=env, check=True,
     )
     return json.loads(proc.stdout)
+
+
+def readme_flag_table():
+    """{subcommand: set of long flags} from README's "Flags of each
+    subcommand" table."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    table = readme.split("Flags of each subcommand", 1)[1].split("\n\n")[1]
+    flags = {}
+    for row in table.splitlines()[2:]:
+        _, command, cell, _ = row.split("|")
+        flags[command.strip().strip("`")] = set(re.findall(r"--[a-z0-9-]+", cell))
+    return flags
+
+
+def test_readme_flag_table_matches_parser():
+    (subparsers,) = [
+        action for action in cli.build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    parsed = {
+        command: {
+            option
+            for action in parser._actions
+            for option in action.option_strings
+            if option.startswith("--") and option != "--help"
+        }
+        for command, parser in subparsers.choices.items()
+    }
+    assert readme_flag_table() == parsed
+    assert parsed["selfcheck"] == set()
 
 
 class TestStartup:

@@ -150,12 +150,3 @@ class TestSpinors:
     def test_off_shell_rejected(self):
         with pytest.raises(ValueError):
             clifford.spinor_u(FourVector(5.0, 0.1, 0, 0), 1, 1.0)
-
-
-class TestTrace:
-    def test_values(self):
-        assert clifford.trace(np.eye(4, dtype=complex)) == 4
-        assert clifford.trace(clifford.gamma_matrix(1)) == 0
-        assert (
-            clifford.trace(clifford.gamma_matrix(0) @ clifford.gamma_matrix(1)) == 0
-        )
