@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Literal
 
 Level = Literal["ground", "excited"]
@@ -12,16 +11,44 @@ Level = Literal["ground", "excited"]
 CHANNEL_WEIGHT = 0.25
 
 
-@dataclass(frozen=True)
 class TwoLevelAtom:
-    omega0: float
-    level: Level = "ground"
+    """Level splitting omega0 and initial level: a frozen value, validated
+    on construction, equal and hashed by (omega0, level).
 
-    def __post_init__(self) -> None:
-        if not (0 < self.omega0 < math.inf):
-            raise ValueError(f"omega0 must be positive and finite, got {self.omega0}")
-        if self.level not in ("ground", "excited"):
-            raise ValueError(f"level must be 'ground' or 'excited', got {self.level!r}")
+    A slotted class, not a dataclass: `dataclasses` imports `inspect`,
+    which would double what importing this package adds to the start-up
+    of `rate` and `sweep`.
+    """
+
+    __slots__ = ("omega0", "level")
+
+    def __init__(self, omega0: float, level: Level = "ground") -> None:
+        if not (0 < omega0 < math.inf):
+            raise ValueError(f"omega0 must be positive and finite, got {omega0}")
+        if level not in ("ground", "excited"):
+            raise ValueError(f"level must be 'ground' or 'excited', got {level!r}")
+        object.__setattr__(self, "omega0", omega0)
+        object.__setattr__(self, "level", level)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.omega0, self.level) == (other.omega0, other.level)
+
+    def __hash__(self) -> int:
+        return hash((self.omega0, self.level))
+
+    def __repr__(self) -> str:
+        return f"TwoLevelAtom(omega0={self.omega0!r}, level={self.level!r})"
+
+    def __reduce__(self):
+        return (self.__class__, (self.omega0, self.level))
 
     @property
     def omega_bd(self) -> float:

@@ -6,15 +6,14 @@ failure, 4 identity failure.
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import json
 import math
 import sys
 from pathlib import Path
 from typing import Iterator
 
 # `oracle` and `selfcheck` import numpy, so `cmd_verify` and `cmd_selfcheck`
-# import them when called: `rate` and `sweep` run without numpy.
+# import them when called: `rate` and `sweep` run without numpy. `json` is
+# imported only where JSON is written.
 from . import __version__, rates
 from .atom import TwoLevelAtom
 
@@ -122,6 +121,8 @@ def cmd_rate(args) -> int:
     }
 
     if args.format == "json":
+        import json
+
         print(json.dumps({**fields, "version": __version__}, indent=2))
     elif args.format == "csv":
         print(",".join(RATE_CSV_KEYS))
@@ -167,6 +168,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    import json
+
     import numpy
 
     from . import oracle
@@ -190,7 +193,7 @@ def cmd_verify(args) -> int:
                      "diagnostics": exc.diagnostics}
                 )
                 continue
-            entries.append({"accel": a, "state": st, **dataclasses.asdict(rep)})
+            entries.append({"accel": a, "state": st, **vars(rep)})
     all_pass = all(e.get("passed", False) for e in entries)
 
     if args.format == "json":

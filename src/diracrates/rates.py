@@ -93,7 +93,8 @@ def rate_rows(atom: TwoLevelAtom, accels: Iterable[float], mu: float) -> Iterato
     pref_w6 = pref * w6
     # Below the normal range w**6 loses its bits while f may be huge; there
     # w^6 f is formed as w^6 + 5 (a w^2)^2 + 4 (a^2 w)^2 instead.
-    tiny_w6 = w6 < sys.float_info.min
+    tiny = sys.float_info.min
+    tiny_w6 = w6 < tiny
     two_pi, two_pi_w = 2.0 * math.pi, 2.0 * math.pi * w
     inf, expm1, exp = math.inf, math.expm1, math.exp
     for a in accels:
@@ -130,6 +131,11 @@ def rate_rows(atom: TwoLevelAtom, accels: Iterable[float], mu: float) -> Iterato
         # level at small n.
         if excited:
             vf, total = 0.0 - mag, 0.0 - 2.0 * base * (1.0 + n)
+        elif n < tiny and a > 0:
+            # n is subnormal or 0 and has lost its bits, while base e^{-x}
+            # may be normal: take e^{-x} in two normal halves instead.
+            half = exp(-0.5 * x)
+            vf, total = mag, 2.0 * base * half * half
         else:
             vf, total = mag, 2.0 * base * n
         cross = 0.0 - base

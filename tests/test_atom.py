@@ -1,6 +1,8 @@
 """Two-level atom transition and susceptibility functions."""
 import cmath
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -11,11 +13,40 @@ from diracrates.atom import TwoLevelAtom
 
 class TestTwoLevelAtom:
     def test_validation(self):
-        for omega0 in (0.0, float("nan"), float("inf")):
-            with pytest.raises(ValueError):
+        for omega0 in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(
+                ValueError, match=rf"^omega0 must be positive and finite, got {omega0}$"
+            ):
                 TwoLevelAtom(omega0=omega0)
-        with pytest.raises(ValueError):
+        with pytest.raises(
+            ValueError, match=r"^level must be 'ground' or 'excited', got 'superposed'$"
+        ):
             TwoLevelAtom(omega0=1.0, level="superposed")
+        # omega0 is checked first.
+        with pytest.raises(ValueError, match="^omega0"):
+            TwoLevelAtom(0.0, "superposed")
+
+    def test_frozen(self):
+        atom = TwoLevelAtom(1.0)
+        for name, value in (("omega0", 2.0), ("level", "excited"), ("other", 0)):
+            with pytest.raises(AttributeError):
+                setattr(atom, name, value)
+        with pytest.raises(AttributeError):
+            del atom.omega0
+        assert (atom.omega0, atom.level) == (1.0, "ground")
+
+    def test_value_semantics(self):
+        atom = TwoLevelAtom(1.0, "ground")
+        same = TwoLevelAtom(omega0=1.0, level="ground")
+        assert atom == same and not atom != same
+        assert hash(atom) == hash(same)
+        assert len({atom, same}) == 1
+        for other in (TwoLevelAtom(1.0, "excited"), TwoLevelAtom(2.0, "ground"),
+                      (1.0, "ground"), None):
+            assert atom != other and not atom == other
+        assert repr(atom) == "TwoLevelAtom(omega0=1.0, level='ground')"
+        assert copy.copy(atom) == atom
+        assert pickle.loads(pickle.dumps(atom)) == atom
 
 
 class TestChannels:

@@ -1,5 +1,6 @@
 """Command-line surface: formats, exit codes, determinism, config files."""
 import argparse
+import ast
 import contextlib
 import dataclasses
 import hashlib
@@ -690,33 +691,36 @@ def test_any_float_gives_documented_exit(command, data):
         strict_json(out.getvalue())
 
 
-# Runs cli.main on each argv of the JSON list in sys.argv[1], in one fresh
-# interpreter, and prints per step its exit code and whether numpy has been
-# imported.
+# Runs cli.main on each argv of `argvs`, in one fresh interpreter, and
+# prints per step its exit code and which of the watched modules are loaded.
 STARTUP_PROBE = """
-import contextlib, io, json, sys
+import contextlib, io, sys
+def loaded():
+    return [m for m in ("dataclasses", "inspect", "json", "numpy") if m in sys.modules]
 steps = []
 import diracrates
-steps.append([0, "numpy" in sys.modules])
+steps.append([0, loaded()])
 from diracrates import cli
-steps.append([0, "numpy" in sys.modules])
-for argv in json.loads(sys.argv[1]):
+steps.append([0, loaded()])
+for argv in argvs:
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(argv)
-    steps.append([code, "numpy" in sys.modules])
-print(json.dumps(steps))
+    steps.append([code, loaded()])
+print(steps)
 """
 
 
 def startup_steps(argvs):
-    """[exit code, numpy imported] after `import diracrates`, after
-    `import diracrates.cli`, and after each argv, in a fresh interpreter."""
+    """[exit code, which of dataclasses, inspect, json and numpy are loaded]
+    after `import diracrates`, after `import diracrates.cli`, and after each
+    argv in turn, in one fresh interpreter. The probe itself imports none of
+    them: argvs reach it as a literal and the steps leave it as a repr."""
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
     proc = subprocess.run(
-        [sys.executable, "-c", STARTUP_PROBE, json.dumps(argvs)],
+        [sys.executable, "-c", f"argvs = {argvs!r}\n{STARTUP_PROBE}"],
         capture_output=True, text=True, env=env, check=True,
     )
-    return json.loads(proc.stdout)
+    return ast.literal_eval(proc.stdout)
 
 
 def readme_flag_table():
@@ -751,15 +755,20 @@ def test_readme_flag_table_matches_parser():
 
 class TestStartup:
     def test_rate_and_sweep_do_not_import_numpy(self):
+        # Nor dataclasses or inspect; json only once JSON is written, so the
+        # json request runs last.
         rate = ["rate", "--omega0", "2", "--accel", "3", "--state", "excited"]
-        argvs = [rate + ["--format", f] for f in ("human", "json", "csv")]
+        argvs = [rate + ["--format", f] for f in ("human", "csv")]
         argvs.append(["sweep", "--accel-max", "10", "--points", "5", "--scale", "linear"])
+        argvs.append(rate + ["--format", "json"])
         steps = startup_steps(argvs)
-        assert steps == [[0, False]] * (len(argvs) + 2)
+        assert steps == [[0, []]] * (len(argvs) + 1) + [[0, ["json"]]]
 
     @pytest.mark.parametrize("argv", [["verify", "--accel", "1"], ["selfcheck"]])
     def test_verify_and_selfcheck_import_numpy(self, argv):
-        assert startup_steps([argv]) == [[0, False], [0, False], [0, True]]
+        steps = startup_steps([argv])
+        assert steps[:2] == [[0, []], [0, []]]
+        assert steps[2][0] == 0 and "numpy" in steps[2][1]
 
 
 class TestEntryPoint:

@@ -1,4 +1,5 @@
 """Closed-form rate formulas and their structural properties."""
+import decimal
 import math
 import sys
 
@@ -385,3 +386,40 @@ class TestProperties:
         a = atom.omega0 * 10.0**log_ratio
         lower = rates.rate_total(atom, a, 1.0).total
         assert rates.rate_total(atom, a * (1.0 + step), 1.0).total > lower
+
+
+def exact_ground_total(row, omega0):
+    """2 base e^{-x} for a ground row, with x = 2 pi omega0 / a as the
+    closed forms round it, base = |cross|, and e^{-x} and the product in
+    28-digit decimal arithmetic."""
+    x = 2.0 * math.pi * omega0 / row.accel
+    return float(2 * decimal.Decimal(-row.cross) * decimal.Decimal(-x).exp())
+
+
+class TestSubnormalOccupation:
+    # Beyond 2 pi omega0 / a ~ 708.4 the Planck number n is subnormal, then
+    # 0, while the ground total 2 base n ~ 2 base e^{-x} stays a normal float
+    # up to x ~ 708 + ln(2 base), a band that widens with omega0 and mu.
+    @pytest.mark.parametrize("a, expected", [
+        (8e7, 1.0824e-285),  # n is 0
+        (2 * math.pi * 1e10 / 745, 3.7941e-268),  # n is subnormal
+    ])
+    def test_ground_total(self, a, expected):
+        row = rates.rate_total(TwoLevelAtom(1e10, "ground"), a, 1.0)
+        exact = exact_ground_total(row, 1e10)
+        assert row.planck_n < sys.float_info.min
+        assert row.total == pytest.approx(exact, rel=2e-15, abs=0)
+        assert row.total == pytest.approx(expected, rel=1e-4, abs=0)
+
+    @settings(max_examples=200, database=None, deadline=None)
+    @given(st.floats(min_value=0.0, max_value=50.0), coupling,
+           st.floats(min_value=0.0, max_value=1.0))
+    def test_ground_total_in_band(self, log_omega0, mu, t):
+        omega0 = 10.0**log_omega0
+        ln_2base = math.log(mu * mu * omega0**6 / (240 * PI3))
+        x = 708.4 + t * max(ln_2base + 1.0, 0.0)
+        a = 2 * math.pi * omega0 / x
+        row = rates.rate_total(TwoLevelAtom(omega0, "ground"), a, mu)
+        exact = exact_ground_total(row, omega0)
+        assume(row.planck_n < sys.float_info.min <= exact)
+        assert row.total == pytest.approx(exact, rel=2e-15, abs=0)
