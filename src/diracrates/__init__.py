@@ -2,9 +2,9 @@
 to vacuum Dirac field fluctuations, with an independent quadrature oracle.
 
 The root exports the closed-form core, which needs only `math`.  The
-numpy-backed names (`verify_rates`, `FourVector`, ...) are imported from
-their modules: `diracrates.oracle`, `diracrates.clifford`,
-`diracrates.correlators`.
+other names (`verify_rates`, `FourVector`, ...) are imported from their
+modules: `diracrates.oracle`, `diracrates.clifford`,
+`diracrates.correlators`; only `clifford` and `selfcheck` need numpy.
 """
 
 from .atom import TwoLevelAtom

@@ -1,6 +1,7 @@
 """Two-level atom model: the single transition and susceptibility functions."""
 from __future__ import annotations
 
+import cmath
 import math
 from typing import Literal
 
@@ -13,14 +14,16 @@ CHANNEL_WEIGHT = 0.25
 
 class TwoLevelAtom:
     """Level splitting omega0 and initial level: a frozen value, validated
-    on construction, equal and hashed by (omega0, level).
+    on construction, equal and hashed by (omega0, level).  omega_bd is the
+    signed transition frequency omega_b - omega_d from the initial level:
+    +omega0 down from the excited level, -omega0 up from the ground one.
 
     A slotted class, not a dataclass: `dataclasses` imports `inspect`,
     which would double what importing this package adds to the start-up
     of `rate` and `sweep`.
     """
 
-    __slots__ = ("omega0", "level")
+    __slots__ = ("omega0", "level", "omega_bd")
 
     def __init__(self, omega0: float, level: Level = "ground") -> None:
         if not (0 < omega0 < math.inf):
@@ -29,6 +32,7 @@ class TwoLevelAtom:
             raise ValueError(f"level must be 'ground' or 'excited', got {level!r}")
         object.__setattr__(self, "omega0", omega0)
         object.__setattr__(self, "level", level)
+        object.__setattr__(self, "omega_bd", omega0 if level == "excited" else -omega0)
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -50,24 +54,13 @@ class TwoLevelAtom:
     def __reduce__(self):
         return (self.__class__, (self.omega0, self.level))
 
-    @property
-    def omega_bd(self) -> float:
-        """Signed transition frequency omega_b - omega_d from the initial level:
-        +omega0 down from the excited level, -omega0 up from the ground one."""
-        return self.omega0 if self.level == "excited" else -self.omega0
-
 
 def susceptibility_c(atom: TwoLevelAtom, dtau: complex) -> complex:
-    """Symmetric atomic susceptibility W cos(omega_bd dtau), even in dtau.
-
-    dtau may be complex or an ndarray.  numpy is imported on call, so that
-    importing this module, as `rate` and `sweep` do, does not load it.
-    """
-    import numpy as np
-    return CHANNEL_WEIGHT * np.cos(atom.omega_bd * dtau)
+    """Symmetric atomic susceptibility W cos(omega_bd dtau), even in dtau;
+    dtau may be complex."""
+    return CHANNEL_WEIGHT * cmath.cos(atom.omega_bd * dtau)
 
 
 def susceptibility_chi(atom: TwoLevelAtom, dtau: complex) -> complex:
     """Antisymmetric i W sin(omega_bd dtau), odd in dtau; sign flips with level."""
-    import numpy as np
-    return 1j * CHANNEL_WEIGHT * np.sin(atom.omega_bd * dtau)
+    return 1j * CHANNEL_WEIGHT * cmath.sin(atom.omega_bd * dtau)

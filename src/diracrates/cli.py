@@ -11,8 +11,8 @@ import sys
 from pathlib import Path
 from typing import Iterator
 
-# `oracle` and `selfcheck` import numpy, so `cmd_verify` and `cmd_selfcheck`
-# import them when called: `rate` and `sweep` run without numpy. `json` is
+# `selfcheck` imports numpy, so `cmd_selfcheck` imports it when called, and
+# `cmd_verify` its `oracle`: `rate` and `sweep` load neither. `json` is
 # imported only where JSON is written.
 from . import __version__, rates
 from .atom import TwoLevelAtom
@@ -170,8 +170,6 @@ def cmd_sweep(args) -> int:
 def cmd_verify(args) -> int:
     import json
 
-    import numpy
-
     from . import oracle
 
     omega0, coupling, tol = args.omega0, args.coupling, args.tol
@@ -193,7 +191,7 @@ def cmd_verify(args) -> int:
                      "diagnostics": exc.diagnostics}
                 )
                 continue
-            entries.append({"accel": a, "state": st, **vars(rep)})
+            entries.append({"accel": a, "state": st, **rep._asdict()})
     all_pass = all(e.get("passed", False) for e in entries)
 
     if args.format == "json":
@@ -201,7 +199,7 @@ def cmd_verify(args) -> int:
             json.dumps(
                 {"omega0": omega0, "coupling": coupling, "tol": tol,
                  "entries": entries, "passed": all_pass,
-                 "version": __version__, "numpy_version": numpy.__version__},
+                 "version": __version__},
                 indent=2,
             )
         )

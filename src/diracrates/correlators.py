@@ -4,18 +4,14 @@ The massless two-point machinery: the regularized interval z, the
 scalar Wightman function and its derivative, the transported two-point
 matrix g, the two-point trace combination, and the
 symmetric/antisymmetric statistical functions of the field in closed
-form.
+form.  The scalar functions run on `cmath` and take one dtau or z each;
+only the matrix functions import `clifford`, and with it numpy.
 """
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from typing import Literal
-
-import numpy as np
-
-from .clifford import _GAMMA, Matrix4C, boost_matrix
+from typing import Literal, NamedTuple
 
 Branch = Literal["minus", "plus"]
 
@@ -27,8 +23,7 @@ class SingularIntervalError(ArithmeticError):
     """Evaluation at the light-cone singularity (z = 0)."""
 
 
-@dataclass(frozen=True)
-class WorldlineParams:
+class WorldlineParams(NamedTuple("_Worldline", [("accel", float), ("epsilon", float)])):
     """Proper acceleration and the regulator of the interval function.
 
     epsilon is the dimensionless shift inside the sinh argument,
@@ -37,18 +32,17 @@ class WorldlineParams:
     then equals its -+i0 limit.
     """
 
-    accel: float
-    epsilon: float = 1e-4
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.accel <= 0:
-            raise ValueError(f"accel must be positive, got {self.accel}")
-        if not 0 < self.epsilon < math.pi:
-            raise ValueError(f"epsilon must lie in (0, pi), got {self.epsilon}")
+    def __new__(cls, accel: float, epsilon: float = 1e-4):
+        if accel <= 0:
+            raise ValueError(f"accel must be positive, got {accel}")
+        if not 0 < epsilon < math.pi:
+            raise ValueError(f"epsilon must lie in (0, pi), got {epsilon}")
+        return super().__new__(cls, accel, epsilon)
 
 
-@dataclass(frozen=True)
-class StatFunctionPair:
+class StatFunctionPair(NamedTuple):
     """Symmetric (c_f) and antisymmetric (chi_f) field statistical functions."""
 
     c_f: complex
@@ -56,36 +50,38 @@ class StatFunctionPair:
 
 
 def interval_z(dtau: float, params: WorldlineParams, branch: Branch = "minus") -> complex:
-    """Regularized interval i (2/a) sinh(a dtau/2 -+ i epsilon), elementwise."""
+    """Regularized interval i (2/a) sinh(a dtau/2 -+ i epsilon)."""
     shift = -1j * params.epsilon if branch == "minus" else 1j * params.epsilon
     a = params.accel
-    return 1j * (2.0 / a) * np.sinh(0.5 * a * dtau + shift)
+    return 1j * (2.0 / a) * cmath.sinh(0.5 * a * dtau + shift)
 
 
 def wightman_massless(z: complex) -> complex:
-    """Massless scalar Wightman function 1/(4 pi^2 z^2), elementwise."""
-    if np.any(z == 0):
+    """Massless scalar Wightman function 1/(4 pi^2 z^2)."""
+    if z == 0:
         raise SingularIntervalError("Wightman function is singular at z = 0")
     return 1.0 / (4.0 * _PI2 * z * z)
 
 
 def dwightman_dz(z: complex) -> complex:
-    """d/dz of the massless Wightman function: -1/(2 pi^2 z^3), elementwise."""
-    if np.any(z == 0):
+    """d/dz of the massless Wightman function: -1/(2 pi^2 z^3)."""
+    if z == 0:
         raise SingularIntervalError("Wightman derivative is singular at z = 0")
-    return -1.0 / (2.0 * _PI2 * z**3)
+    return -1.0 / (2.0 * _PI2 * (z * z * z))
 
 
-def g_matrix(dtau: float, params: WorldlineParams) -> Matrix4C:
-    """Transported two-point matrix for the massless field.
+def g_matrix(dtau: float, params: WorldlineParams):
+    """Transported two-point matrix for the massless field, a 4x4 ndarray.
 
     Only the gamma^0 component survives at zero mass:
     g(dtau) = -gamma^0 dG/dz evaluated at z(dtau) on the minus branch.
     """
+    from .clifford import _GAMMA
+
     return -dwightman_dz(interval_z(dtau, params, "minus")) * _GAMMA[0]
 
 
-def g_matrix_from_worldline(tau: float, tau_p: float, params: WorldlineParams) -> Matrix4C:
+def g_matrix_from_worldline(tau: float, tau_p: float, params: WorldlineParams):
     """Two-time construction of g via transport-conjugation of the two-point matrix.
 
     Builds the massless two-point matrix from Minkowski-frame derivatives
@@ -95,6 +91,8 @@ def g_matrix_from_worldline(tau: float, tau_p: float, params: WorldlineParams) -
     the sinh(a dtau/2 - i epsilon) prescription.  Agrees with
     g_matrix(tau - tau_p, params) for any common shift of both times.
     """
+    from .clifford import _GAMMA, boost_matrix
+
     a = params.accel
     tau_p_c = tau_p + 2j * params.epsilon / a
 
@@ -114,7 +112,7 @@ def g_matrix_from_worldline(tau: float, tau_p: float, params: WorldlineParams) -
 
 
 def trace_pair(dtau: float, params: WorldlineParams, branch: Branch = "minus") -> complex:
-    """Trace of the two-point matrix pair: 4 (dG/dz)^2 at z(dtau), elementwise.
+    """Trace of the two-point matrix pair: 4 (dG/dz)^2 at z(dtau).
 
     Analytically -a^6 / (64 pi^4 sinh^6(a dtau/2 -+ i epsilon)).
     """
@@ -123,10 +121,10 @@ def trace_pair(dtau: float, params: WorldlineParams, branch: Branch = "minus") -
 
 
 def stat_functions_closed(dtau: float, params: WorldlineParams) -> StatFunctionPair:
-    """Closed-form symmetric and antisymmetric statistical functions, elementwise."""
+    """Closed-form symmetric and antisymmetric statistical functions."""
     a = params.accel
     x = 0.5 * a * dtau
     pref = -(a**6) / (128.0 * _PI4)
-    sm = np.sinh(x - 1j * params.epsilon) ** -6
-    sp = np.sinh(x + 1j * params.epsilon) ** -6
+    sm = cmath.sinh(x - 1j * params.epsilon) ** -6
+    sp = cmath.sinh(x + 1j * params.epsilon) ** -6
     return StatFunctionPair(c_f=pref * (sm + sp), chi_f=pref * (sm - sp))

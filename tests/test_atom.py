@@ -140,11 +140,9 @@ class TestSusceptibilityForms:
         assert at.susceptibility_c(a, dtau) == pytest.approx(c, rel=1e-15, abs=0)
         assert at.susceptibility_chi(a, dtau) == pytest.approx(chi, rel=1e-15, abs=0)
 
-    def test_array_dtau(self):
+    def test_scalar_dtau_returns_complex(self):
+        # One dtau per call, real or complex; the value is a Python complex.
         a = TwoLevelAtom(2.0, "excited")
-        dtau = np.linspace(-3.0, 3.0, 13) - 0.25j
-        c = at.susceptibility_c(a, dtau)
-        chi = at.susceptibility_chi(a, dtau)
-        assert c.shape == chi.shape == dtau.shape
-        assert list(c) == [at.susceptibility_c(a, t) for t in dtau]
-        assert list(chi) == [at.susceptibility_chi(a, t) for t in dtau]
+        for dtau in (0.0, 1.5, np.float64(-2.5), 0.8 - 0.25j):
+            assert type(at.susceptibility_c(a, dtau)) is complex
+            assert type(at.susceptibility_chi(a, dtau)) is complex

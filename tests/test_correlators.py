@@ -10,7 +10,6 @@ from diracrates.correlators import SingularIntervalError, WorldlineParams
 
 PI2 = math.pi**2
 PI4 = math.pi**4
-EPS = np.finfo(float).eps
 
 
 class TestWorldlineParams:
@@ -51,13 +50,11 @@ class TestIntervalZ:
         zp = co.interval_z(0.7, p, "plus")
         assert zp == pytest.approx(-zm.conjugate(), rel=1e-14)
 
-    def test_array_matches_scalar_calls(self):
+    def test_returns_complex(self):
         p = WorldlineParams(accel=1.5, epsilon=0.4)
-        dtau = np.linspace(-8.0, 8.0, 33)
         for branch in ("minus", "plus"):
-            z = co.interval_z(dtau, p, branch)
-            assert z.shape == dtau.shape
-            assert list(z) == [co.interval_z(float(t), p, branch) for t in dtau]
+            for dtau in (0.0, -8.0, np.float64(3.5)):
+                assert type(co.interval_z(dtau, p, branch)) is complex
 
 
 class TestWightman:
@@ -93,9 +90,12 @@ class TestWightmanDerivative:
         with pytest.raises(SingularIntervalError):
             co.dwightman_dz(0.0)
 
-    def test_singularity_in_array(self):
-        with pytest.raises(SingularIntervalError):
-            co.dwightman_dz(np.array([1.0, 0.0, 1j]))
+    def test_singularity_at_complex_zero(self):
+        for z in (0j, complex(-0.0, 0.0)):
+            with pytest.raises(SingularIntervalError):
+                co.dwightman_dz(z)
+            with pytest.raises(SingularIntervalError):
+                co.wightman_massless(z)
 
 
 class TestGMatrix:
@@ -136,16 +136,11 @@ class TestTracePair:
         )
         assert got == pytest.approx(expected, rel=1e-12)
 
-    def test_array_matches_scalar_calls(self):
+    def test_returns_complex(self):
         p = WorldlineParams(accel=0.7, epsilon=2.0)
-        dtau = np.linspace(-30.0, 30.0, 41)
         for branch in ("minus", "plus"):
-            got = co.trace_pair(dtau, p, branch)
-            assert got.shape == dtau.shape
-            # Array complex products may round differently (fused
-            # multiply-add), by at most a couple of units in the last place.
-            expected = np.array([co.trace_pair(float(t), p, branch) for t in dtau])
-            assert np.all(abs(got - expected) <= 2 * EPS * abs(expected))
+            for dtau in (0.0, -30.0, np.float64(12.5)):
+                assert type(co.trace_pair(dtau, p, branch)) is complex
 
     def test_branch_swap_conjugates(self):
         p = WorldlineParams(accel=1.0, epsilon=1e-3)
@@ -210,13 +205,8 @@ class TestStatFunctions:
                 fitted = c * math.exp(3 * adt)
                 assert fitted == pytest.approx(a**6 / PI4, rel=0.05)
 
-    def test_array_matches_scalar_calls(self):
+    def test_returns_complex(self):
         p = WorldlineParams(accel=0.7, epsilon=2.0)
-        dtau = np.linspace(-30.0, 30.0, 41)
-        got = co.stat_functions_closed(dtau, p)
-        scalar = [co.stat_functions_closed(float(t), p) for t in dtau]
-        for field in ("c_f", "chi_f"):
-            values = getattr(got, field)
-            assert values.shape == dtau.shape
-            expected = np.array([getattr(pair, field) for pair in scalar])
-            assert np.all(abs(values - expected) <= 2 * EPS * abs(expected))
+        for dtau in (0.0, -30.0, np.float64(12.5)):
+            pair = co.stat_functions_closed(dtau, p)
+            assert type(pair.c_f) is complex and type(pair.chi_f) is complex

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diracrates import oracle, rates
-from diracrates.atom import TwoLevelAtom
+from diracrates import correlators, oracle, rates
+from diracrates.atom import TwoLevelAtom, susceptibility_c, susceptibility_chi
 from diracrates.oracle import ConvergenceError
 
 QUADRATURE_KEYS = {
@@ -34,6 +34,18 @@ class TestShiftedLine:
         with pytest.raises(ConvergenceError) as err:
             oracle._line_sums(TwoLevelAtom(1.0, "excited"), 1e-5)
         assert err.value.diagnostics["nodes"] > oracle._MAX_NODES
+
+    @pytest.mark.parametrize("a, count", [(5.2e-4, "1.05e+06"), (1e-300, "2.79e+304")])
+    def test_node_limit_message(self, a, count):
+        # One line: the count to 3 significant digits, not its 305 digits at
+        # 1e-300; the diagnostics keep the exact integer.
+        with pytest.raises(ConvergenceError) as err:
+            oracle.verify_rates(TwoLevelAtom(1.0, "ground"), a, 1.0)
+        assert str(err.value) == (
+            f"quadrature needs {count} nodes, above the limit 1000000"
+        )
+        nodes = err.value.diagnostics["nodes"]
+        assert isinstance(nodes, int) and f"{nodes:.3g}" == count
 
     @pytest.mark.parametrize("a", [5e-324, 1e-320])
     def test_node_limit_subnormal_accel(self, a):
@@ -78,11 +90,27 @@ class TestCrossIntegral:
         expected = rates.rate_total(TwoLevelAtom(1.0, "excited"), 1.0, 1.0).cross
         assert got == pytest.approx(expected, rel=1e-9, abs=0)
 
-    def test_imaginary_residue_small(self):
-        # I(nu) is real: the integrand at -tau is the conjugate of that at tau.
+    def test_integrands_conjugate_symmetric(self):
+        # f(-u) = conj f(u) for both integrands on the oracle's line u - i s,
+        # so the sums over u >= 0 give the real integrals.
+        def integrands(u, line, scaled):
+            g = correlators.trace_pair(u, line)
+            z = u - 1j * line.epsilon
+            return g * susceptibility_c(scaled, z), g * susceptibility_chi(scaled, z)
+
         for a in (1e-3, 1.0, 1e6):
-            t_h, _, _ = oracle._line_sums(TwoLevelAtom(1.0, "excited"), a)
-            assert all(abs(t_h.imag) < 1e-12 * abs(t_h.real))
+            s = min(math.pi / 2, 3.0 * a)
+            h = 0.1 * min(s, a / 2.0)
+            line = correlators.WorldlineParams(2.0, epsilon=s)
+            for level in ("ground", "excited"):
+                scaled = TwoLevelAtom(2.0 / a, level)
+                for k in (1, 2, 7, 50, 333):
+                    pairs = zip(integrands(-k * h, line, scaled),
+                                integrands(k * h, line, scaled))
+                    for f_minus, f_plus in pairs:
+                        assert f_minus == pytest.approx(
+                            f_plus.conjugate(), rel=1e-15, abs=0
+                        )
 
     def test_negative_and_level_independent(self):
         down = oracle.verify_rates(TwoLevelAtom(1.0, "excited"), 1.0, 1.0)

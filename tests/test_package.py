@@ -1,5 +1,5 @@
-"""The package's public names: the root's math-only core, and the
-numpy-backed names that only their own modules export."""
+"""The package's public names: the root's math-only core, and the names
+that only their own modules export."""
 import importlib
 
 import pytest
@@ -18,7 +18,7 @@ HOME = {
     "si_acceleration_to_natural": "rates",
 }
 
-# Public names of the numpy-backed modules, which the root does not export.
+# Public names of the other modules, which the root does not export.
 MODULE_ONLY = {
     "FourVector": "clifford",
     "OracleReport": "oracle",
