@@ -4,7 +4,7 @@ to vacuum Dirac field fluctuations, with an independent quadrature oracle.
 The root exports the closed-form core, which needs only `math`.  The
 other names (`verify_rates`, `FourVector`, ...) are imported from their
 modules: `diracrates.oracle`, `diracrates.clifford`,
-`diracrates.correlators`; only `clifford` and `selfcheck` need numpy.
+`diracrates.correlators`.  Every module runs on the standard library.
 """
 
 from .atom import TwoLevelAtom

@@ -11,9 +11,9 @@ import sys
 from pathlib import Path
 from typing import Iterator
 
-# `selfcheck` imports numpy, so `cmd_selfcheck` imports it when called, and
-# `cmd_verify` its `oracle`: `rate` and `sweep` load neither. `json` is
-# imported only where JSON is written.
+# `cmd_selfcheck` imports `selfcheck` when called, and `cmd_verify` its
+# `oracle`: `rate` and `sweep` load neither. `json` is imported only where
+# JSON is written.
 from . import __version__, rates
 from .atom import TwoLevelAtom
 

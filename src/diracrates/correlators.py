@@ -5,7 +5,8 @@ scalar Wightman function and its derivative, the transported two-point
 matrix g, the two-point trace combination, and the
 symmetric/antisymmetric statistical functions of the field in closed
 form.  The scalar functions run on `cmath` and take one dtau or z each;
-only the matrix functions import `clifford`, and with it numpy.
+only the matrix functions import `clifford`, inside the function, and
+return its 4x4 tuple matrices.
 """
 from __future__ import annotations
 
@@ -35,8 +36,8 @@ class WorldlineParams(NamedTuple("_Worldline", [("accel", float), ("epsilon", fl
     __slots__ = ()
 
     def __new__(cls, accel: float, epsilon: float = 1e-4):
-        if accel <= 0:
-            raise ValueError(f"accel must be positive, got {accel}")
+        if not 0 < accel < math.inf:
+            raise ValueError(f"accel must be positive and finite, got {accel}")
         if not 0 < epsilon < math.pi:
             raise ValueError(f"epsilon must lie in (0, pi), got {epsilon}")
         return super().__new__(cls, accel, epsilon)
@@ -71,14 +72,14 @@ def dwightman_dz(z: complex) -> complex:
 
 
 def g_matrix(dtau: float, params: WorldlineParams):
-    """Transported two-point matrix for the massless field, a 4x4 ndarray.
+    """Transported two-point matrix for the massless field, a 4x4 tuple matrix.
 
     Only the gamma^0 component survives at zero mass:
     g(dtau) = -gamma^0 dG/dz evaluated at z(dtau) on the minus branch.
     """
-    from .clifford import _GAMMA
+    from .clifford import _GAMMA, scale
 
-    return -dwightman_dz(interval_z(dtau, params, "minus")) * _GAMMA[0]
+    return scale(-dwightman_dz(interval_z(dtau, params, "minus")), _GAMMA[0])
 
 
 def g_matrix_from_worldline(tau: float, tau_p: float, params: WorldlineParams):
@@ -91,7 +92,7 @@ def g_matrix_from_worldline(tau: float, tau_p: float, params: WorldlineParams):
     the sinh(a dtau/2 - i epsilon) prescription.  Agrees with
     g_matrix(tau - tau_p, params) for any common shift of both times.
     """
-    from .clifford import _GAMMA, boost_matrix
+    from .clifford import _GAMMA, boost_matrix, combine, matmul
 
     a = params.accel
     tau_p_c = tau_p + 2j * params.epsilon / a
@@ -105,10 +106,10 @@ def g_matrix_from_worldline(tau: float, tau_p: float, params: WorldlineParams):
     # d/dx^mu of G = 1/(4 pi^2 sigma), sigma = |dx|^2 - dt^2
     dG_dt = dt / (2.0 * _PI2 * sigma * sigma)
     dG_dx = -dx / (2.0 * _PI2 * sigma * sigma)
-    two_point = 1j * (dG_dt * _GAMMA[0] + dG_dx * _GAMMA[1])
+    two_point = combine(1j * dG_dt, _GAMMA[0], 1j * dG_dx, _GAMMA[1])
 
     # The transport matrix at tau is boost_matrix(a, -tau).
-    return boost_matrix(a, -tau) @ two_point @ boost_matrix(a, tau_p_c)
+    return matmul(matmul(boost_matrix(a, -tau), two_point), boost_matrix(a, tau_p_c))
 
 
 def trace_pair(dtau: float, params: WorldlineParams, branch: Branch = "minus") -> complex:

@@ -2,16 +2,14 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
-import numpy as np
+import random
+from typing import NamedTuple
 
 from . import clifford, correlators
 from .clifford import FourVector
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     cases: int
     max_deviation: float
@@ -22,94 +20,111 @@ class CheckResult:
         return self.max_deviation <= self.tolerance
 
 
-def _rel_dev(actual: np.ndarray, expected: np.ndarray) -> float:
-    scale = max(np.max(np.abs(expected)), 1.0)
-    return float(np.max(np.abs(actual - expected)) / scale)
+def _worst(devs: list[float]) -> float:
+    """The largest deviation, or nan if any is nan, so that a nan fails."""
+    return math.nan if any(map(math.isnan, devs)) else max(devs)
+
+
+def _max_diff(a: clifford.Matrix4C, b: clifford.Matrix4C) -> float:
+    return _worst([abs(x - y) for ra, rb in zip(a, b) for x, y in zip(ra, rb)])
+
+
+def _rel_dev(actual: clifford.Matrix4C, expected: clifford.Matrix4C) -> float:
+    scale = max(1.0, *(abs(x) for row in expected for x in row))
+    return _max_diff(actual, expected) / scale
+
+
+def _trace_grid():
+    """(params, dtau) for a in {0.5, 1, 2}, epsilon in {1e-3, 1e-4} and 60
+    dtau evenly spaced from 0.05/a to 20/a."""
+    for a in (0.5, 1.0, 2.0):
+        start, stop = 0.05 / a, 20.0 / a
+        step = (stop - start) / 59
+        for eps in (1e-3, 1e-4):
+            params = correlators.WorldlineParams(accel=a, epsilon=eps)
+            for i in range(60):
+                yield params, (start + i * step if i < 59 else stop)
 
 
 def check_gamma_algebra() -> CheckResult:
     """{gamma^mu, gamma^nu} = 2 g^{mu nu} I, exactly."""
-    worst = 0.0
-    cases = 0
+    devs = []
     for mu in range(4):
         for nu in range(4):
             lhs = clifford.anticommutator(
                 clifford.gamma_matrix(mu), clifford.gamma_matrix(nu)
             )
-            rhs = 2.0 * clifford.METRIC[mu, nu] * clifford.IDENTITY4
-            worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-            cases += 1
-    return CheckResult("gamma anticommutators", cases, worst, 0.0)
+            rhs = clifford.scale(2.0 * clifford.METRIC[mu][nu], clifford.IDENTITY4)
+            devs.append(_max_diff(lhs, rhs))
+    return CheckResult("gamma anticommutators", len(devs), _worst(devs), 0.0)
 
 
 def check_boost_group() -> CheckResult:
     """Composition, inverse, gamma^0 conjugation, and squared-unitarity."""
     a = 1.0
-    taus = np.arange(-5.0, 5.5, 1.0)
+    taus = [t - 5.0 for t in range(11)]
+    boost = {t: clifford.boost_matrix(a, t) for t in taus}
     g0 = clifford.gamma_matrix(0)
-    worst = 0.0
-    cases = 0
+    mul = clifford.matmul
+    devs = []
     for t1 in taus:
-        s1 = clifford.boost_matrix(a, t1)
-        worst = max(
-            worst,
-            _rel_dev(s1 @ clifford.boost_matrix(a, -t1), clifford.IDENTITY4),
-            _rel_dev(g0 @ s1, clifford.boost_matrix(a, -t1) @ g0),
-            _rel_dev((g0 @ s1) @ (g0 @ s1), clifford.IDENTITY4),
-        )
-        cases += 3
+        s1 = boost[t1]
+        g0s1 = mul(g0, s1)
+        devs += [
+            _rel_dev(mul(s1, boost[-t1]), clifford.IDENTITY4),
+            _rel_dev(g0s1, mul(boost[-t1], g0)),
+            _rel_dev(mul(g0s1, g0s1), clifford.IDENTITY4),
+        ]
         for t2 in taus:
-            worst = max(
-                worst,
-                _rel_dev(
-                    s1 @ clifford.boost_matrix(a, t2),
-                    clifford.boost_matrix(a, t1 + t2),
-                ),
+            devs.append(
+                _rel_dev(mul(s1, boost[t2]), clifford.boost_matrix(a, t1 + t2))
             )
-            cases += 1
-    return CheckResult("boost group identities", cases, worst, 1e-13)
+    return CheckResult("boost group identities", len(devs), _worst(devs), 1e-13)
 
 
 def check_spin_sums() -> CheckResult:
     """Spin sums reproduce (slash(k) +- m)/2m for 100 random on-shell momenta."""
     n_momenta, m = 100, 1.0
-    rng = np.random.default_rng(7)
-    worst = 0.0
+    rng = random.Random(7)
+    devs = []
     for _ in range(n_momenta):
-        kvec = rng.normal(scale=2.0, size=3)
-        k = FourVector(math.sqrt(float(kvec @ kvec) + m * m), *kvec)
-        sk = clifford.slash(k)
-        worst = max(
-            worst,
-            _rel_dev(
-                clifford.spin_sum_u(k, m), (sk + m * clifford.IDENTITY4) / (2 * m)
-            ),
-            _rel_dev(
-                clifford.spin_sum_v(k, m), (sk - m * clifford.IDENTITY4) / (2 * m)
-            ),
-        )
-    return CheckResult("spin sums", 2 * n_momenta, worst, 1e-12)
+        kx, ky, kz = (rng.gauss(0.0, 2.0) for _ in range(3))
+        k = FourVector(math.sqrt(kx * kx + ky * ky + kz * kz + m * m), kx, ky, kz)
+        sk, identity = clifford.slash(k), clifford.IDENTITY4
+        plus = clifford.combine(0.5 / m, sk, 0.5, identity)
+        minus = clifford.combine(0.5 / m, sk, -0.5, identity)
+        devs += [
+            _rel_dev(clifford.spin_sum_u(k, m), plus),
+            _rel_dev(clifford.spin_sum_v(k, m), minus),
+        ]
+    return CheckResult("spin sums", len(devs), _worst(devs), 1e-12)
 
 
 def check_trace_vs_closed() -> CheckResult:
     """Statistical functions from trace combinations vs the sinh^-6 closed forms."""
-    worst = 0.0
-    cases = 0
-    for a in (0.5, 1.0, 2.0):
-        for eps in (1e-3, 1e-4):
-            params = correlators.WorldlineParams(accel=a, epsilon=eps)
-            for dtau in np.linspace(0.05 / a, 20.0 / a, 60).tolist():
-                closed = correlators.stat_functions_closed(dtau, params)
-                tp_m = correlators.trace_pair(dtau, params, "minus")
-                tp_p = correlators.trace_pair(dtau, params, "plus")
-                scale = max(abs(closed.c_f), abs(closed.chi_f))
-                worst = max(
-                    worst,
-                    abs(0.5 * (tp_m + tp_p) - closed.c_f) / scale,
-                    abs(0.5 * (tp_m - tp_p) - closed.chi_f) / scale,
-                )
-                cases += 2
-    return CheckResult("trace route vs closed forms", cases, worst, 1e-10)
+    devs = []
+    for params, dtau in _trace_grid():
+        closed = correlators.stat_functions_closed(dtau, params)
+        tp_m = correlators.trace_pair(dtau, params, "minus")
+        tp_p = correlators.trace_pair(dtau, params, "plus")
+        scale = max(abs(closed.c_f), abs(closed.chi_f))
+        devs += [
+            abs(0.5 * (tp_m + tp_p) - closed.c_f) / scale,
+            abs(0.5 * (tp_m - tp_p) - closed.chi_f) / scale,
+        ]
+    return CheckResult("trace route vs closed forms", len(devs), _worst(devs), 1e-10)
+
+
+def check_two_point_vs_trace() -> CheckResult:
+    """Tr[g g] of the transported two-point matrix at tau = dtau/2 and
+    tau' = -dtau/2 vs the trace pair at dtau."""
+    devs = []
+    for params, dtau in _trace_grid():
+        g = correlators.g_matrix_from_worldline(0.5 * dtau, -0.5 * dtau, params)
+        tr = sum([x * y for row, col in zip(g, zip(*g)) for x, y in zip(row, col)])
+        expected = correlators.trace_pair(dtau, params)
+        devs.append(abs(tr - expected) / abs(expected))
+    return CheckResult("two-point matrix vs trace", len(devs), _worst(devs), 1e-10)
 
 
 def run_all() -> list[CheckResult]:
@@ -118,4 +133,5 @@ def run_all() -> list[CheckResult]:
         check_boost_group(),
         check_spin_sums(),
         check_trace_vs_closed(),
+        check_two_point_vs_trace(),
     ]

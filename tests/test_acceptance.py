@@ -154,3 +154,15 @@ def test_criterion_10_si_estimate():
         f"a = 3e24 m/s^2 maps to {got:.4e} 1/s (hydrogen-scale omega ~ 1e16)",
         abs(got - 1.0e16) / 1.0e16 < 0.01,
     )
+
+
+def test_criterion_11_two_point_matrix_vs_trace():
+    start = time.monotonic()
+    result = selfcheck.check_two_point_vs_trace()
+    elapsed = time.monotonic() - start
+    _report(
+        11,
+        f"Tr[g g] of the transported two-point matrix vs the trace pair, "
+        f"{result.cases} cases, max dev {result.max_deviation:.2e} ({elapsed:.3f}s)",
+        result.cases == 360 and result.max_deviation < 1e-10 and elapsed < 1.0,
+    )

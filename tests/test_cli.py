@@ -2,7 +2,6 @@
 import argparse
 import ast
 import contextlib
-import dataclasses
 import hashlib
 import io
 import json
@@ -366,13 +365,14 @@ class TestSelfcheck:
         assert code == 0
         out = capsys.readouterr().out
         assert "16 cases checked" in out
-        assert out.count("pass") == 4
+        assert out.count("pass") == 5
+        assert "two-point matrix vs trace: 360 cases checked" in out
 
     def test_failed_suite_exit_4(self, monkeypatch, capsys):
         from diracrates import selfcheck
 
         results = selfcheck.run_all()
-        bad = dataclasses.replace(results[1], max_deviation=math.inf)
+        bad = results[1]._replace(max_deviation=math.inf)
         monkeypatch.setattr(
             selfcheck, "run_all", lambda: [results[0], bad, *results[2:]]
         )
@@ -381,6 +381,24 @@ class TestSelfcheck:
         fail_lines = [l for l in captured.out.splitlines() if l.endswith("FAIL")]
         assert len(fail_lines) == 1 and fail_lines[0].startswith(f"{bad.name}:")
         assert captured.err == f"identity violated: {bad.name}\n"
+
+    def test_nan_deviation_fails(self, monkeypatch, capsys):
+        # One nan entry, not the first, in one spin sum: the suite's
+        # deviation is nan and it fails.
+        from diracrates import clifford
+
+        spin_sum_u = clifford.spin_sum_u
+
+        def with_nan(k, m):
+            rows = [list(row) for row in spin_sum_u(k, m)]
+            rows[2][1] = complex(math.nan, 0.0)
+            return tuple(map(tuple, rows))
+
+        monkeypatch.setattr(clifford, "spin_sum_u", with_nan)
+        assert run_cli(["selfcheck"]) == 4
+        out = capsys.readouterr().out
+        assert "spin sums: 200 cases checked, max deviation nan" in out
+        assert out.count("FAIL") == 1
 
 
 class TestConfigFile:
@@ -768,10 +786,11 @@ class TestStartup:
         steps = startup_steps([["verify", "--accel", "1"]])
         assert steps == [[0, []], [0, []], [0, ["json"]]]
 
-    def test_selfcheck_imports_numpy(self):
+    def test_selfcheck_loads_nothing(self):
+        # The Clifford algebra runs on tuples of complex: of dataclasses,
+        # inspect, json and numpy, none is loaded after selfcheck.
         steps = startup_steps([["selfcheck"]])
-        assert steps[:2] == [[0, []], [0, []]]
-        assert steps[2][0] == 0 and "numpy" in steps[2][1]
+        assert steps == [[0, []], [0, []], [0, []]]
 
 
 class TestEntryPoint:

@@ -1,4 +1,4 @@
-"""Gamma algebra, boosts, spinors, and traces."""
+"""Gamma algebra, boosts, spinors, and traces, with numpy as the reference."""
 import math
 
 import numpy as np
@@ -9,8 +9,56 @@ from diracrates.clifford import FourVector
 
 
 def random_onshell(rng, m=1.0):
-    kvec = rng.normal(scale=2.0, size=3)
-    return FourVector(math.sqrt(float(kvec @ kvec) + m * m), *kvec)
+    kvec = rng.normal(scale=2.0, size=3).tolist()
+    return FourVector(math.sqrt(sum(x * x for x in kvec) + m * m), *kvec)
+
+
+def mat(m):
+    """A clifford matrix or spinor as a numpy array."""
+    return np.array(m, dtype=complex)
+
+
+def as_tuples(a):
+    return tuple(tuple(complex(x) for x in row) for row in a)
+
+
+class TestMatrixHelpers:
+    def test_matmul_matches_numpy(self):
+        rng = np.random.default_rng(13)
+        eps = np.finfo(float).eps
+        for _ in range(50):
+            a, b = (
+                rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+                for _ in range(2)
+            )
+            got = mat(clifford.matmul(as_tuples(a), as_tuples(b)))
+            # A 4-term complex dot product is within (4 + 2) half-eps of
+            # |a| |b|, entry by entry.
+            assert np.all(np.abs(got - a @ b) <= 4 * eps * (np.abs(a) @ np.abs(b)))
+
+    def test_combine_and_scale_match_numpy(self):
+        rng = np.random.default_rng(17)
+        a, b = (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)) for _ in range(2))
+        ca, cb = 0.3 - 1.2j, -2.5
+        eps = np.finfo(float).eps
+        bound = 4 * eps * (abs(ca) * np.abs(a) + abs(cb) * np.abs(b))
+        got = mat(clifford.combine(ca, as_tuples(a), cb, as_tuples(b)))
+        assert np.all(np.abs(got - (ca * a + cb * b)) <= bound)
+        got = mat(clifford.scale(ca, as_tuples(a)))
+        assert np.all(np.abs(got - ca * a) <= 4 * eps * abs(ca) * np.abs(a))
+
+    def test_matrices_are_tuples_of_complex(self):
+        k = FourVector(2.0, 0.5, -1.0, 0.3)
+        for m in (
+            clifford.gamma_matrix(2), clifford.IDENTITY4, clifford.slash(k),
+            clifford.boost_matrix(1.0, 0.5), clifford.spin_sum_u(
+                FourVector(math.sqrt(2.0), 1.0, 0, 0), 1.0
+            ),
+        ):
+            assert type(m) is tuple and len(m) == 4
+            for row in m:
+                assert type(row) is tuple and len(row) == 4
+                assert all(type(x) is complex for x in row)
 
 
 class TestGammaMatrices:
@@ -40,19 +88,25 @@ class TestGammaMatrices:
         lhs = clifford.anticommutator(
             clifford.gamma_matrix(mu), clifford.gamma_matrix(nu)
         )
-        rhs = 2.0 * clifford.METRIC[mu, nu] * np.eye(4)
-        np.testing.assert_array_equal(lhs, rhs)
+        rhs = 2.0 * clifford.METRIC[mu][nu] * np.eye(4)
+        np.testing.assert_array_equal(mat(lhs), rhs)
 
     def test_anticommutator_identity(self):
-        eye = np.eye(4, dtype=complex)
-        np.testing.assert_array_equal(clifford.anticommutator(eye, eye), 2 * eye)
+        eye = clifford.IDENTITY4
+        np.testing.assert_array_equal(
+            mat(clifford.anticommutator(eye, eye)), 2 * np.eye(4)
+        )
+
+    def test_metric_and_identity(self):
+        np.testing.assert_array_equal(np.array(clifford.METRIC), np.diag([1, -1, -1, -1]))
+        np.testing.assert_array_equal(mat(clifford.IDENTITY4), np.eye(4))
 
 
 class TestSlash:
     def test_rest_frame(self):
         m = 1.7
         np.testing.assert_allclose(
-            clifford.slash(FourVector(m, 0, 0, 0)), m * clifford.gamma_matrix(0)
+            clifford.slash(FourVector(m, 0, 0, 0)), m * mat(clifford.gamma_matrix(0))
         )
 
     def test_zero(self):
@@ -63,8 +117,8 @@ class TestSlash:
     def test_square_is_invariant(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
-            k = FourVector(*rng.normal(size=4))
-            sq = clifford.slash(k) @ clifford.slash(k)
+            k = FourVector(*rng.normal(size=4).tolist())
+            sq = mat(clifford.slash(k)) @ mat(clifford.slash(k))
             np.testing.assert_allclose(
                 sq, k.dot(k) * np.eye(4), atol=1e-13 * max(1.0, abs(k.dot(k)))
             )
@@ -75,22 +129,24 @@ class TestBoost:
         np.testing.assert_array_equal(clifford.boost_matrix(1.0, 0.0), np.eye(4))
 
     def test_inverse(self):
-        s = clifford.boost_matrix(1.0, 2.0)
+        s = mat(clifford.boost_matrix(1.0, 2.0))
         np.testing.assert_allclose(
-            s @ clifford.boost_matrix(1.0, -2.0), np.eye(4), atol=1e-13
+            s @ mat(clifford.boost_matrix(1.0, -2.0)), np.eye(4), atol=1e-13
         )
 
     def test_gamma0_conjugation_squares_to_one(self):
-        g0 = clifford.gamma_matrix(0)
-        m = g0 @ clifford.boost_matrix(1.0, 0.7)
+        g0 = mat(clifford.gamma_matrix(0))
+        m = g0 @ mat(clifford.boost_matrix(1.0, 0.7))
         np.testing.assert_allclose(m @ m, np.eye(4), atol=1e-13)
 
     def test_composition_grid(self):
         taus = np.arange(-5.0, 5.5, 1.0)
         for t1 in taus:
             for t2 in taus:
-                lhs = clifford.boost_matrix(1.0, t1) @ clifford.boost_matrix(1.0, t2)
-                rhs = clifford.boost_matrix(1.0, t1 + t2)
+                lhs = mat(clifford.boost_matrix(1.0, t1)) @ mat(
+                    clifford.boost_matrix(1.0, t2)
+                )
+                rhs = mat(clifford.boost_matrix(1.0, t1 + t2))
                 np.testing.assert_allclose(
                     lhs, rhs, rtol=1e-13, atol=1e-13 * np.max(np.abs(rhs))
                 )
@@ -99,7 +155,7 @@ class TestBoost:
         # The group law holds off the real line; a tau/2 = i pi is -I.
         t1, t2 = 0.3 + 0.4j, -1.1 + 2.0j
         np.testing.assert_allclose(
-            clifford.boost_matrix(2.0, t1) @ clifford.boost_matrix(2.0, t2),
+            mat(clifford.boost_matrix(2.0, t1)) @ mat(clifford.boost_matrix(2.0, t2)),
             clifford.boost_matrix(2.0, t1 + t2), rtol=1e-13, atol=1e-13,
         )
         np.testing.assert_allclose(
@@ -111,6 +167,13 @@ class TestBoost:
             clifford.boost_matrix(0.0, 1.0)
         with pytest.raises(ValueError):
             clifford.boost_matrix(-1.0, 1.0)
+
+    @pytest.mark.parametrize("a", [math.nan, math.inf])
+    def test_nan_and_inf_acceleration(self, a):
+        with pytest.raises(
+            ValueError, match=rf"^acceleration must be positive and finite, got {a}$"
+        ):
+            clifford.boost_matrix(a, 1.0)
 
 
 class TestSpinors:
@@ -139,8 +202,16 @@ class TestSpinors:
             k = random_onshell(rng)
             u = clifford.spinor_u(k, 1, 1.0)
             v = clifford.spinor_v(k, 2, 1.0)
-            assert clifford.dirac_adjoint(u) @ u == pytest.approx(1.0, abs=1e-12)
-            assert clifford.dirac_adjoint(v) @ v == pytest.approx(-1.0, abs=1e-12)
+            assert mat(clifford.dirac_adjoint(u)) @ mat(u) == pytest.approx(1.0, abs=1e-12)
+            assert mat(clifford.dirac_adjoint(v)) @ mat(v) == pytest.approx(-1.0, abs=1e-12)
+
+    def test_dirac_adjoint_matches_numpy(self):
+        rng = np.random.default_rng(19)
+        psi = rng.normal(size=4) + 1j * rng.normal(size=4)
+        np.testing.assert_array_equal(
+            mat(clifford.dirac_adjoint(tuple(psi.tolist()))),
+            psi.conj() @ mat(clifford.gamma_matrix(0)),
+        )
 
     def test_massless_rejected(self):
         k = FourVector(1.0, 1.0, 0, 0)
@@ -150,3 +221,23 @@ class TestSpinors:
     def test_off_shell_rejected(self):
         with pytest.raises(ValueError):
             clifford.spinor_u(FourVector(5.0, 0.1, 0, 0), 1, 1.0)
+
+    @pytest.mark.parametrize("spinor", [clifford.spinor_u, clifford.spinor_v])
+    @pytest.mark.parametrize(
+        "k", [FourVector(math.nan, 0, 0, 0), FourVector(1.0, math.nan, 0, 0),
+              FourVector(math.inf, math.inf, 0, 0)],
+    )
+    def test_nan_momentum_rejected(self, spinor, k):
+        with pytest.raises(ValueError, match="^momentum is off shell: "):
+            spinor(k, 1, 1.0)
+
+    @pytest.mark.parametrize("m", [math.nan, math.inf])
+    def test_nan_mass_rejected(self, m):
+        with pytest.raises(
+            ValueError, match=rf"^spinor mass must be positive and finite, got {m}$"
+        ):
+            clifford.spinor_u(FourVector(1.0, 0, 0, 0), 1, m)
+
+    def test_bad_spin_index(self):
+        with pytest.raises(ValueError, match="^spin index must be 1 or 2, got 3$"):
+            clifford.spinor_v(FourVector(1.0, 0, 0, 0), 3, 1.0)

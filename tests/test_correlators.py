@@ -16,6 +16,11 @@ class TestWorldlineParams:
     def test_validation(self):
         with pytest.raises(ValueError):
             WorldlineParams(accel=0.0)
+        for accel in (math.nan, math.inf):
+            with pytest.raises(
+                ValueError, match=rf"^accel must be positive and finite, got {accel}$"
+            ):
+                WorldlineParams(accel)
         # epsilon is a contour shift, valid short of the next pole at pi.
         for eps in (0.2, 3.0):
             assert WorldlineParams(accel=1.0, epsilon=eps).epsilon == eps
@@ -103,25 +108,25 @@ class TestGMatrix:
         from diracrates import clifford
 
         p = WorldlineParams(accel=1.0, epsilon=1e-4)
-        g = co.g_matrix(1.0, p)
+        g = np.array(co.g_matrix(1.0, p))
         scalar = g[0, 0]
-        np.testing.assert_allclose(g, scalar * clifford.gamma_matrix(0))
+        np.testing.assert_allclose(g, scalar * np.array(clifford.gamma_matrix(0)))
 
     def test_trace_against_derivative(self):
         from diracrates import clifford
 
         p = WorldlineParams(accel=1.0, epsilon=1e-4)
-        g = co.g_matrix(1.0, p)
+        g = np.array(co.g_matrix(1.0, p))
         d = co.dwightman_dz(co.interval_z(1.0, p, "minus"))
-        assert np.trace(clifford.gamma_matrix(0) @ g) == pytest.approx(
+        assert np.trace(np.array(clifford.gamma_matrix(0)) @ g) == pytest.approx(
             -4 * d, rel=1e-13
         )
 
     def test_stationarity(self):
         p = WorldlineParams(accel=1.0, epsilon=1e-4)
-        g_shifted = co.g_matrix_from_worldline(3.0, 2.0, p)
-        g_base = co.g_matrix_from_worldline(1.0, 0.0, p)
-        g_closed = co.g_matrix(1.0, p)
+        g_shifted = np.array(co.g_matrix_from_worldline(3.0, 2.0, p))
+        g_base = np.array(co.g_matrix_from_worldline(1.0, 0.0, p))
+        g_closed = np.array(co.g_matrix(1.0, p))
         scale = np.max(np.abs(g_closed))
         assert np.max(np.abs(g_shifted - g_base)) / scale < 1e-12
         assert np.max(np.abs(g_shifted - g_closed)) / scale < 1e-12
