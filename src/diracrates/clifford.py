@@ -131,6 +131,8 @@ def boost_matrix(a: float, tau: complex) -> Matrix4C:
     """
     if not 0 < a < math.inf:
         raise ValueError(f"acceleration must be positive and finite, got {a}")
+    if not cmath.isfinite(tau):
+        raise ValueError(f"tau must be finite, got {tau}")
     half = 0.5 * a * tau
     return combine(cmath.cosh(half), IDENTITY4, cmath.sinh(half), _G0G1)
 

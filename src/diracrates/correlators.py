@@ -52,6 +52,9 @@ class StatFunctionPair(NamedTuple):
 
 def interval_z(dtau: float, params: WorldlineParams, branch: Branch = "minus") -> complex:
     """Regularized interval i (2/a) sinh(a dtau/2 -+ i epsilon)."""
+    # cmath.isfinite takes float, numpy.float64 and complex alike.
+    if not cmath.isfinite(dtau):
+        raise ValueError(f"dtau must be finite, got {dtau}")
     shift = -1j * params.epsilon if branch == "minus" else 1j * params.epsilon
     a = params.accel
     return 1j * (2.0 / a) * cmath.sinh(0.5 * a * dtau + shift)
@@ -94,6 +97,9 @@ def g_matrix_from_worldline(tau: float, tau_p: float, params: WorldlineParams):
     """
     from .clifford import _GAMMA, boost_matrix, combine, matmul
 
+    for name, t in (("tau", tau), ("tau_p", tau_p)):
+        if not cmath.isfinite(t):
+            raise ValueError(f"{name} must be finite, got {t}")
     a = params.accel
     tau_p_c = tau_p + 2j * params.epsilon / a
 
@@ -123,6 +129,8 @@ def trace_pair(dtau: float, params: WorldlineParams, branch: Branch = "minus") -
 
 def stat_functions_closed(dtau: float, params: WorldlineParams) -> StatFunctionPair:
     """Closed-form symmetric and antisymmetric statistical functions."""
+    if not cmath.isfinite(dtau):
+        raise ValueError(f"dtau must be finite, got {dtau}")
     a = params.accel
     x = 0.5 * a * dtau
     pref = -(a**6) / (128.0 * _PI4)

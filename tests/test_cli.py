@@ -9,8 +9,10 @@ import math
 import os
 import re
 import shlex
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -18,7 +20,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import diracrates
-from diracrates import cli
+from diracrates import cli, rates
+from diracrates.atom import TwoLevelAtom
 
 
 def run_cli(argv):
@@ -213,8 +216,12 @@ class TestSweep:
             # Crosses expm1's overflow band, 2 pi omega0 / a in (709.78, 745].
             (["--accel-min", "0", "--accel-max", "0.009", "--points", "20000"],
              "f96df268d5c087911e478ed8131f331992ee9c9f501154b1333931c32e323785"),
+            (["--scale", "log", "--accel-min", "1e-3", "--accel-max", "1e7",
+              "--points", "100000", "--state", "excited", "--omega0", "2",
+              "--coupling", "0.7"],
+             "c189720579e452d57c8363b25cbfe8806fc3e96b5061c73747e4b1803ef23e00"),
         ],
-        ids=["log-ground", "linear-excited", "expm1-band"],
+        ids=["log-ground", "linear-excited", "expm1-band", "log-excited-1e5"],
     )
     def test_golden_bytes(self, argv, sha256, tmp_path):
         # Any change that moves a bit of a sweep CSV fails here.
@@ -254,6 +261,172 @@ class TestSweep:
     def test_missing_range_is_usage_error(self):
         with pytest.raises(SystemExit):
             run_cli(["sweep", "--accel-min", "0", "--points", "2"])
+
+
+def no_child_left():
+    """Raises unless this process has no child, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestSweepSplit:
+    """From SPLIT_MIN_POINTS on, a forked child does the upper half of the
+    rows. The CPU count is forced to 2, so that these run on any machine."""
+
+    N = cli.SPLIT_MIN_POINTS
+    grid = staticmethod(cli._sweep_grid)  # unpatched by `parent_ranges`
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        yield
+        no_child_left()
+
+    @pytest.fixture
+    def parent_ranges(self, monkeypatch):
+        """The index ranges whose grid this process builds: a child's land
+        in its own copy of the list."""
+        ranges = []
+
+        def recording(amin, amax, points, scale, indices):
+            ranges.append(indices)
+            return self.grid(amin, amax, points, scale, indices)
+
+        monkeypatch.setattr(cli, "_sweep_grid", recording)
+        return ranges
+
+    def reference(self, omega0, amin, amax, points, scale, state, coupling):
+        """The CSV as one in-process pass over the whole grid gives it."""
+        grid = self.grid(amin, amax, points, scale, range(points))
+        rows = rates.rate_rows(TwoLevelAtom(omega0, state), grid, coupling)
+        template = ",".join(["%.17g"] * 7) + "\n"
+        return cli.SWEEP_HEADER + "\n" + "".join(template % row for row in rows)
+
+    @pytest.mark.parametrize("points", [N, N + 1])
+    @pytest.mark.parametrize("state", ["ground", "excited"])
+    @pytest.mark.parametrize("scale, amin, amax", [("log", 0.02, 3e5), ("linear", 0.0, 40.0)])
+    def test_bytes_match_one_pass(self, scale, amin, amax, state, points,
+                                  parent_ranges, tmp_path, capsys):
+        expected = self.reference(1.3, amin, amax, points, scale, state, 0.4)
+        argv = ["sweep", "--omega0", "1.3", "--coupling", "0.4",
+                "--accel-min", repr(amin), "--accel-max", repr(amax),
+                "--points", str(points), "--scale", scale, "--state", state]
+        out = tmp_path / "sweep.csv"
+        assert run_cli(argv + ["--output", str(out)]) == 0
+        assert out.read_bytes() == expected.encode()
+        assert run_cli(argv) == 0
+        assert capsys.readouterr().out == expected
+        # Both runs split, and this process built only its own half.
+        assert parent_ranges == [range(0, points // 2)] * 2
+
+    # Exit code 2, one stderr line and no --output file, as from one pass.
+    # In the second, the child's half alone would fail differently
+    # (thermal occupation), and the first half's message must win.
+    @pytest.mark.parametrize(
+        "argv, lower_fails, child_message",
+        [
+            (["--accel-min", "0", "--accel-max", "500", "--coupling", "1e150"],
+             False, "rate out of double range"),
+            (["--scale", "log", "--omega0", "1e-100", "--accel-min", "1e130",
+              "--accel-max", "1e300"],
+             True, "thermal occupation out of double range"),
+        ],
+        ids=["child-half-only", "both-halves"],
+    )
+    def test_error_matches_one_pass(self, argv, lower_fails, child_message,
+                                    tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--points", str(self.N + 1), "--output", str(out)] + argv
+        assert main_exit(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: result out of double range (rate out of double range)\n"
+        )
+        assert not out.exists()
+        # Each half on its own fails as the parametrization says.
+        args = cli.build_parser().parse_args(argv)
+        k, n = args.points // 2, args.points
+        atom = TwoLevelAtom(args.omega0, args.state)
+
+        def half(lo, hi):
+            grid = self.grid(args.accel_min, args.accel_max, n, args.scale,
+                             range(lo, hi))
+            return list(rates.rate_rows(atom, grid, args.coupling))
+
+        with pytest.raises(OverflowError, match=f"^{child_message}$"):
+            half(k, n)
+        if lower_fails:
+            with pytest.raises(OverflowError, match="^rate out of double range$"):
+                half(0, k)
+        else:
+            half(0, k)
+
+    def test_error_in_first_half_kills_child(self, monkeypatch, tmp_path, capsys):
+        # The child would sleep for a minute; the parent's half fails at
+        # once, and the child must not outlive the request.
+        fork = os.fork
+
+        def sleepy_fork():
+            pid = fork()
+            if pid == 0:
+                time.sleep(60)
+                os._exit(0)
+            return pid
+
+        monkeypatch.setattr(os, "fork", sleepy_fork)
+        out = tmp_path / "sweep.csv"
+        start = time.monotonic()
+        code = main_exit(["sweep", "--accel-min", "1e3", "--accel-max", "2e3",
+                          "--points", str(self.N), "--coupling", "1e150",
+                          "--output", str(out)])
+        assert time.monotonic() - start < 30
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: result out of double range (rate out of double range)\n"
+        )
+        assert not out.exists()
+
+    def expected_csv(self, tmp_path):
+        argv = ["sweep", "--accel-min", "0.1", "--accel-max", "1e4", "--scale", "log",
+                "--points", str(self.N + 1), "--state", "excited"]
+        out = tmp_path / "sweep.csv"
+        assert run_cli(argv + ["--output", str(out)]) == 0
+        return out.read_bytes(), self.reference(1.0, 0.1, 1e4, self.N + 1, "log",
+                                                "excited", 1.0).encode()
+
+    @pytest.mark.parametrize("failing", ["pipe", "fork"])
+    def test_no_fork_or_pipe_computes_in_process(self, failing, monkeypatch,
+                                                 parent_ranges, tmp_path):
+        def refuse():
+            raise OSError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, failing, refuse)
+        got, expected = self.expected_csv(tmp_path)
+        assert got == expected
+        n = self.N + 1
+        assert parent_ranges == [range(0, n // 2), range(n // 2, n)]
+
+    @pytest.mark.parametrize("death", ["exit 0", "exit 1", "SIGKILL"])
+    def test_failed_child_recomputed(self, death, monkeypatch, parent_ranges,
+                                     tmp_path):
+        # The child quits before sending a line: with an empty payload and
+        # exit 0, with a non-zero exit, or killed.
+        fork = os.fork
+
+        def doomed_fork():
+            pid = fork()
+            if pid == 0:
+                if death == "SIGKILL":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                os._exit(int(death[-1]))
+            return pid
+
+        monkeypatch.setattr(os, "fork", doomed_fork)
+        got, expected = self.expected_csv(tmp_path)
+        assert got == expected
+        n = self.N + 1
+        assert parent_ranges == [range(0, n // 2), range(n // 2, n)]
 
 
 class TestVerify:
@@ -780,6 +953,29 @@ class TestStartup:
         argvs.append(rate + ["--format", "json"])
         steps = startup_steps(argvs)
         assert steps == [[0, []]] * (len(argvs) + 1) + [[0, ["json"]]]
+
+    def test_split_sweep_forks_with_os_alone(self, tmp_path):
+        # A sweep long enough to split, on a forced second CPU: it forks
+        # once and loads no process-spawning module.
+        argv = ["sweep", "--accel-max", "10", "--points", str(cli.SPLIT_MIN_POINTS),
+                "--output", str(tmp_path / "sweep.csv")]
+        probe = f"""
+import os, sys
+from diracrates import cli
+cli._usable_cpus = lambda: 2
+forks, fork = [], os.fork
+def counted_fork():
+    forks.append(1)
+    return fork()
+os.fork = counted_fork
+code = cli.main({argv!r})
+spawners = ("subprocess", "multiprocessing", "concurrent")
+print([code, len(forks), [m for m in spawners if m in sys.modules]])
+"""
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                              text=True, env=env, check=True)
+        assert ast.literal_eval(proc.stdout) == [0, 1, []]
 
     def test_verify_loads_only_json(self):
         # The oracle runs on math and cmath: no numpy, dataclasses or inspect.

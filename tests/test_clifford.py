@@ -175,6 +175,15 @@ class TestBoost:
         ):
             clifford.boost_matrix(a, 1.0)
 
+    @pytest.mark.parametrize(
+        "tau", [math.nan, math.inf, -math.inf, complex(0.0, math.nan),
+                complex(math.inf, 1.0), np.float64(math.nan)]
+    )
+    def test_non_finite_tau(self, tau):
+        # A nan matrix is no answer: the time is named instead.
+        with pytest.raises(ValueError, match=r"^tau must be finite, got "):
+            clifford.boost_matrix(1.0, tau)
+
 
 class TestSpinors:
     def test_rest_frame_unit_spinors(self):

@@ -215,3 +215,41 @@ class TestStatFunctions:
         for dtau in (0.0, -30.0, np.float64(12.5)):
             pair = co.stat_functions_closed(dtau, p)
             assert type(pair.c_f) is complex and type(pair.chi_f) is complex
+
+
+NON_FINITE = [math.nan, math.inf, -math.inf, complex(1.0, math.nan),
+              complex(-math.inf, 0.0), np.float64(math.inf)]
+
+
+class TestNonFiniteTime:
+    """A nan or infinite time is refused with its name, not turned into nan."""
+
+    @pytest.mark.parametrize("dtau", NON_FINITE)
+    @pytest.mark.parametrize("branch", ["minus", "plus"])
+    def test_interval_and_trace(self, dtau, branch):
+        p = WorldlineParams(1.0)
+        for f in (co.interval_z, co.trace_pair):
+            with pytest.raises(ValueError, match=r"^dtau must be finite, got "):
+                f(dtau, p, branch)
+
+    @pytest.mark.parametrize("dtau", NON_FINITE)
+    def test_stat_functions(self, dtau):
+        with pytest.raises(ValueError, match=r"^dtau must be finite, got "):
+            co.stat_functions_closed(dtau, WorldlineParams(1.0))
+
+    @pytest.mark.parametrize("t", NON_FINITE)
+    def test_g_matrix_from_worldline(self, t):
+        p = WorldlineParams(1.0)
+        with pytest.raises(ValueError, match=r"^tau must be finite, got "):
+            co.g_matrix_from_worldline(t, 0.0, p)
+        with pytest.raises(ValueError, match=r"^tau_p must be finite, got "):
+            co.g_matrix_from_worldline(0.5, t, p)
+        # Both bad: the first time is named.
+        with pytest.raises(ValueError, match=r"^tau must be finite, got "):
+            co.g_matrix_from_worldline(t, t, p)
+
+    def test_complex_times_still_accepted(self):
+        # The oracle's lines and the regulated matrix route pass complex times.
+        p = WorldlineParams(1.0, 0.3)
+        assert cmath.isfinite(co.trace_pair(complex(0.4, -0.2), p))
+        assert cmath.isfinite(co.interval_z(complex(0.4, -0.2), p, "plus"))
