@@ -114,6 +114,56 @@ class TestRate:
         run_cli(["rate", "--accel", "1", "--format", fmt])
         assert "version" not in capsys.readouterr().out
 
+    # One point in each format, byte for byte: labels, their 21-column
+    # width, the radiation-reaction note, the CSV keys and the JSON layout.
+    PINNED = {
+        "human": (
+            "state                excited\n"
+            "omega0               2\n"
+            "accel                3\n"
+            "coupling             0.7\n"
+            "rate_vf              -0.0705897\n"
+            "rate_cross           -0.0684808\n"
+            "rate_total           -0.13907\n"
+            "radiation_reaction   0  (order mu^3, neglected)\n"
+            "poly_factor          32.5\n"
+            "planck_n             0.0153981\n"
+            "T_eff                0.477465\n"
+        ),
+        "csv": (
+            "omega0,accel,coupling,state,rate_vf,rate_cross,rate_total,"
+            "poly_factor,planck_n,effective_temperature\n"
+            "2,3,0.69999999999999996,excited,-0.070589708879488747,"
+            "-0.068480758113160248,-0.13907046699264899,32.5,"
+            "0.01539812660107809,0.47746482927568601\n"
+        ),
+        "json": (
+            '{\n'
+            '  "omega0": 2.0,\n'
+            '  "accel": 3.0,\n'
+            '  "coupling": 0.7,\n'
+            '  "state": "excited",\n'
+            '  "rate_vf": -0.07058970887948875,\n'
+            '  "rate_cross": -0.06848075811316025,\n'
+            '  "rate_total": -0.139070466992649,\n'
+            '  "radiation_reaction": 0.0,\n'
+            '  "radiation_reaction_note": "order mu^3, neglected",\n'
+            '  "poly_factor": 32.5,\n'
+            '  "planck_n": 0.01539812660107809,\n'
+            '  "effective_temperature": 0.477464829275686,\n'
+            '  "version": VERSION\n'
+            '}\n'
+        ),
+    }
+
+    @pytest.mark.parametrize("fmt", ["human", "csv", "json"])
+    def test_output_pinned(self, fmt, capsys):
+        assert run_cli(["rate", "--omega0", "2", "--accel", "3", "--state", "excited",
+                        "--coupling", "0.7", "--format", fmt]) == 0
+        out = capsys.readouterr().out
+        version = json.dumps(diracrates.__version__)
+        assert out == self.PINNED[fmt].replace("VERSION", version)
+
     def test_usage_error_exit_2(self, capsys):
         with pytest.raises(SystemExit) as err:
             run_cli(["rate", "--omega0", "not-a-number"])
@@ -694,6 +744,11 @@ class TestConfigFile:
         ["selfcheck", "--format", "human"],
         ["selfcheck", "--config", "recipe.cfg"],
         ["verify", "--accel", "1", "--state", "ground", "--format", "csv"],
+        # The file is not read for a command that does not take --config,
+        # so a missing one is the same usage error.
+        ["selfcheck", "--config", "missing.cfg"],
+        ["--config", "missing.cfg", "rate"],
+        ["--config", "recipe.cfg", "rate"],
     ],
 )
 def test_flags_a_command_does_not_read_exit_2(argv, tmp_path, monkeypatch, capsys):
@@ -702,7 +757,9 @@ def test_flags_a_command_does_not_read_exit_2(argv, tmp_path, monkeypatch, capsy
     with pytest.raises(SystemExit) as err:
         run_cli(argv)
     assert err.value.code == 2
-    assert capsys.readouterr().out == ""
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: diracrates")
 
 
 def readme_cli_commands():
@@ -923,6 +980,12 @@ def readme_flag_table():
         _, command, cell, _ = row.split("|")
         flags[command.strip().strip("`")] = set(re.findall(r"--[a-z0-9-]+", cell))
     return flags
+
+
+def test_config_commands_are_those_taking_config():
+    taking = {command for command, flags in readme_flag_table().items()
+              if "--config" in flags}
+    assert set(cli.CONFIG_COMMANDS) == taking
 
 
 def test_readme_flag_table_matches_parser():

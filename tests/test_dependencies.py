@@ -29,6 +29,12 @@ def test_imports_are_stdlib_or_the_package(path):
     assert names - sys.stdlib_module_names - {"diracrates"} == set()
 
 
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_parses_as_python_3_10(path):
+    # pyproject.toml promises requires-python >= 3.10.
+    ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
+
+
 def test_function_level_imports_are_seen():
     tree = ast.parse("def f():\n    import numpy\n    from .clifford import slash\n")
     assert set(imported_names(tree)) == {"numpy", "diracrates"}
