@@ -73,21 +73,23 @@ def _si_accel(text: str) -> float:
         raise argparse.ArgumentTypeError(exc) from None
 
 
-def _with_config(argv: list[str]) -> list[str]:
+def _with_config(argv: list[str], parser: argparse.ArgumentParser) -> list[str]:
     """argv with each `key = value` line of its --config file inserted as
     `--key=value` right after the command, so that the parser checks config
     values like flags and a flag on the command line wins."""
-    # A small parser finds --config first: the full parser would stop on a
-    # required flag the file supplies. Only a command that takes --config
-    # reads the file, and not with -h: help prints even if it is missing.
+    # A finder with the command's options finds --config first, resolving
+    # abbreviations as the full parser would before it stops on a required
+    # flag the file supplies. Only a command taking --config reads it, not with -h.
     if not argv or argv[0] not in CONFIG_COMMANDS:
         return argv
-    finder = argparse.ArgumentParser(add_help=False)
-    finder.add_argument("--config", nargs="?")
-    finder.add_argument("-h", "--help", action="store_true")
-    found = finder.parse_known_args(argv[1:])[0]
-    path = found.config
-    if not path or found.help:
+    command = parser._subparsers._group_actions[0].choices[argv[0]]
+    finder = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    finder.error = command.error
+    for option, action in command._option_string_actions.items():
+        finder.add_argument(option, dest=action.dest, nargs="?")
+    found = vars(finder.parse_known_args(argv[1:])[0])  # the options given
+    path = found.get("config")
+    if not path or "help" in found:
         return argv
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -248,10 +250,8 @@ def cmd_verify(args) -> int:
     from . import oracle
 
     omega0, coupling, tol = args.omega0, args.coupling, args.tol
-    if args.accel is None:
-        accels = [r * omega0 for r in DEFAULT_VERIFY_RATIOS]
-    else:
-        accels = [args.accel]
+    accels = ([r * omega0 for r in DEFAULT_VERIFY_RATIOS] if args.accel is None
+              else [args.accel])
     states = [args.state] if args.state else STATES
 
     entries = []
@@ -376,7 +376,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(_with_config(argv))
+        args = parser.parse_args(_with_config(argv, parser))
         return args.func(args)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -24,9 +24,9 @@ from .atom import TwoLevelAtom, susceptibility_c, susceptibility_chi
 # for small s, where the oscillating factor cancels most of the peak.
 _TAIL = 1e-17
 
-# Nodes grow like |omega|/a and half of them are evaluated, one at a time;
-# this many (a/|omega| ~ 5.4e-4) take ~1.1 s and ~36 MB peak per verify
-# on a 2-vCPU x86-64 VM with Python 3.11.
+# h = s/10 resolves the pole and the oscillation (see _line_sums), so below
+# a/|omega| = pi/6 nodes grow like |omega|/a. Half are evaluated, one at a time;
+# this many (a/|omega| ~ 1.02e-4): ~1.1 s, ~36 MB per entry, 2-vCPU x86-64 VM.
 _MAX_NODES = 1_000_000
 
 
@@ -61,8 +61,8 @@ def _line_sums(atom: TwoLevelAtom, a: float) -> tuple[list, list, dict]:
     out (a/2)^6 keeps the sums in double range for any a.  i W sin keeps
     the cross sum accurate for a >> omega, where the integrals at +-omega
     agree to about log10(a/omega) digits.  The shift
-    s = min(pi/2, 3a/|omega|) keeps |Im(omega dtau)| <= 6; the step h
-    resolves both the distance s to the pole and the oscillation.
+    s = min(pi/2, 3a/|omega|) keeps |Im(omega dtau)| <= 6; h = s/10 takes ten
+    steps to the pole and, as w h <= 0.6 for w = 2|omega|/a, ten a period.
     Both integrands satisfy f(-u) = conj f(u), as sinh, cos and i sin of
     -u - i s are -+ the conjugates of theirs at u - i s, so only u >= 0 is
     evaluated: Re f weighted 1 at u = 0 and 2 elsewhere.
@@ -70,7 +70,7 @@ def _line_sums(atom: TwoLevelAtom, a: float) -> tuple[list, list, dict]:
     and the grid.
     """
     s = min(math.pi / 2, 3.0 * a / abs(atom.omega_bd))
-    h = 0.1 * min(s, a / (2.0 * abs(atom.omega_bd)))
+    h = 0.1 * s
     # For subnormal a, h underflows to 0 or the node count leaves float
     # range; a quantity with no float value is reported as null.
     y = (math.log(64.0 / _TAIL) - 6.0 * math.log(math.sin(s))) / 6.0 if h > 0 else None

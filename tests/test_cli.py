@@ -682,6 +682,15 @@ class TestConfigFile:
             (3.0, "ground")
         ]
 
+    @pytest.mark.parametrize("flag", ["--conf", "--config"])
+    def test_config_abbreviation(self, flag, tmp_path, capsys):
+        # An abbreviation the command's options leave unambiguous reads the
+        # file, as the full parser resolves it.
+        cfg = tmp_path / "recipe.cfg"
+        cfg.write_text("omega0 = 2\nformat = json\n")
+        assert run_cli(["rate", flag, str(cfg)]) == 0
+        assert json.loads(capsys.readouterr().out)["omega0"] == 2.0
+
     def test_flag_after_config_si_accel(self, tmp_path, capsys):
         cfg = tmp_path / "recipe.cfg"
         cfg.write_text("si_accel = 2.99792458e8\nformat = json\n")
@@ -749,6 +758,10 @@ class TestConfigFile:
         ["selfcheck", "--config", "missing.cfg"],
         ["--config", "missing.cfg", "rate"],
         ["--config", "recipe.cfg", "rate"],
+        # --co could be --coupling or --config: ambiguous before any file is
+        # read, whether or not it exists.
+        ["rate", "--co", "missing.cfg"],
+        ["rate", "--co", "recipe.cfg"],
     ],
 )
 def test_flags_a_command_does_not_read_exit_2(argv, tmp_path, monkeypatch, capsys):

@@ -21,7 +21,7 @@ class TestShiftedLine:
             _, _, grid = oracle._line_sums(TwoLevelAtom(1.0, "excited"), a)
             assert oracle._line_sums(TwoLevelAtom(1.0, "ground"), a)[2] == grid
             assert grid["s"] == min(math.pi / 2, 3 * a)
-            assert grid["h"] == pytest.approx(0.1 * min(grid["s"], a / 2))
+            assert grid["h"] == pytest.approx(0.1 * grid["s"])
             assert grid["nodes"] % 4 == 1
 
     def test_difference_without_cancellation(self):
@@ -35,7 +35,7 @@ class TestShiftedLine:
             oracle._line_sums(TwoLevelAtom(1.0, "excited"), 1e-5)
         assert err.value.diagnostics["nodes"] > oracle._MAX_NODES
 
-    @pytest.mark.parametrize("a, count", [(5.2e-4, "1.05e+06"), (1e-300, "2.79e+304")])
+    @pytest.mark.parametrize("a, count", [(1e-4, "1.02e+06"), (1e-300, "4.65e+303")])
     def test_node_limit_message(self, a, count):
         # One line: the count to 3 significant digits, not its 305 digits at
         # 1e-300; the diagnostics keep the exact integer.
@@ -99,8 +99,8 @@ class TestCrossIntegral:
             return g * susceptibility_c(scaled, z), g * susceptibility_chi(scaled, z)
 
         for a in (1e-3, 1.0, 1e6):
-            s = min(math.pi / 2, 3.0 * a)
-            h = 0.1 * min(s, a / 2.0)
+            _, _, grid = oracle._line_sums(TwoLevelAtom(1.0, "ground"), a)
+            s, h = grid["s"], grid["h"]
             line = correlators.WorldlineParams(2.0, epsilon=s)
             for level in ("ground", "excited"):
                 scaled = TwoLevelAtom(2.0 / a, level)
@@ -172,7 +172,7 @@ class TestVerifyRates:
 
     @settings(max_examples=40, deadline=None, database=None)
     @given(
-        log_ratio=st.floats(min_value=-3.0, max_value=6.0),
+        log_ratio=st.floats(min_value=-3.95, max_value=6.0),
         log_omega0=st.floats(min_value=-1.0, max_value=1.0),
         level=st.sampled_from(["ground", "excited"]),
     )
@@ -181,5 +181,5 @@ class TestVerifyRates:
         rep = oracle.verify_rates(
             TwoLevelAtom(omega0, level), omega0 * 10.0**log_ratio, 1.0
         )
-        assert rep.rel_err_vf < 1e-9
-        assert rep.rel_err_cross < 1e-9
+        assert rep.rel_err_vf < 1e-12
+        assert rep.rel_err_cross < 1e-12
