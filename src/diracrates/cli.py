@@ -160,6 +160,21 @@ def _sweep_grid(
     return (amin + (amax - amin) * i / (points - 1) for i in indices)
 
 
+def _exit_when_unread(w: int) -> None:
+    """Start a thread that ends this process once the pipe end `w` has no
+    reader left, as when the process reading it is killed."""
+    import select
+    import threading
+
+    def watch():
+        poller = select.poll()
+        poller.register(w, 0)  # POLLERR is reported unasked
+        if any(events & select.POLLERR for _, events in poller.poll()):
+            os._exit(1)
+
+    threading.Thread(target=watch, daemon=True).start()
+
+
 def _lines_in_two(
     lines: Callable[[int, int], list[bytes]], k: int, n: int
 ) -> list[bytes]:
@@ -170,6 +185,7 @@ def _lines_in_two(
     Errors are not sent over: if the child cannot deliver all of its lines,
     this process runs lines(k, n) itself, and so raises what the child
     raised. An error in lines(0, k) kills the child and is raised first.
+    If this process is killed, the child exits once it sees the pipe unread.
     """
     try:
         r, w = os.pipe()
@@ -185,6 +201,7 @@ def _lines_in_two(
         code = 1
         try:
             os.close(r)
+            _exit_when_unread(w)
             with open(w, "wb", buffering=CHUNK) as out:
                 out.writelines(lines(k, n))
             code = 0

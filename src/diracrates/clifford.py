@@ -41,14 +41,6 @@ class FourVector(NamedTuple):
     y: float
     z: float
 
-    def dot(self, other: "FourVector") -> float:
-        return (
-            self.t * other.t
-            - self.x * other.x
-            - self.y * other.y
-            - self.z * other.z
-        )
-
     @property
     def spatial_norm2(self) -> float:
         return self.x**2 + self.y**2 + self.z**2

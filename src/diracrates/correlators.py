@@ -1,12 +1,12 @@
 """Field correlators along the uniformly accelerated worldline.
 
 The massless two-point machinery: the regularized interval z, the
-scalar Wightman function and its derivative, the transported two-point
-matrix g, the two-point trace combination, and the
+z-derivative of the scalar Wightman function 1/(4 pi^2 z^2), the
+transported two-point matrix g, the two-point trace combination, and the
 symmetric/antisymmetric statistical functions of the field in closed
 form.  The scalar functions run on `cmath` and take one dtau or z each;
-only the matrix functions import `clifford`, inside the function, and
-return its 4x4 tuple matrices.
+only the matrix function imports `clifford`, inside the function, and
+returns its 4x4 tuple matrix.
 """
 from __future__ import annotations
 
@@ -60,29 +60,11 @@ def interval_z(dtau: float, params: WorldlineParams, branch: Branch = "minus") -
     return 1j * (2.0 / a) * cmath.sinh(0.5 * a * dtau + shift)
 
 
-def wightman_massless(z: complex) -> complex:
-    """Massless scalar Wightman function 1/(4 pi^2 z^2)."""
-    if z == 0:
-        raise SingularIntervalError("Wightman function is singular at z = 0")
-    return 1.0 / (4.0 * _PI2 * z * z)
-
-
 def dwightman_dz(z: complex) -> complex:
     """d/dz of the massless Wightman function: -1/(2 pi^2 z^3)."""
     if z == 0:
         raise SingularIntervalError("Wightman derivative is singular at z = 0")
     return -1.0 / (2.0 * _PI2 * (z * z * z))
-
-
-def g_matrix(dtau: float, params: WorldlineParams):
-    """Transported two-point matrix for the massless field, a 4x4 tuple matrix.
-
-    Only the gamma^0 component survives at zero mass:
-    g(dtau) = -gamma^0 dG/dz evaluated at z(dtau) on the minus branch.
-    """
-    from .clifford import _GAMMA, scale
-
-    return scale(-dwightman_dz(interval_z(dtau, params, "minus")), _GAMMA[0])
 
 
 def g_matrix_from_worldline(tau: float, tau_p: float, params: WorldlineParams):
@@ -92,8 +74,10 @@ def g_matrix_from_worldline(tau: float, tau_p: float, params: WorldlineParams):
     of the scalar Wightman function between trajectory points, then
     conjugates with the transport matrices.  The regulator enters as a
     complex shift of the earlier proper time, which reduces exactly to
-    the sinh(a dtau/2 - i epsilon) prescription.  Agrees with
-    g_matrix(tau - tau_p, params) for any common shift of both times.
+    the sinh(a dtau/2 - i epsilon) prescription.  Only the gamma^0
+    component survives at zero mass: g = -gamma^0 dG/dz at
+    z(tau - tau_p) on the minus branch, with dG/dz = dwightman_dz(z), for
+    any common shift of both times.
     """
     from .clifford import _GAMMA, boost_matrix, combine, matmul
 

@@ -319,6 +319,15 @@ def no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+def running(pid):
+    """Whether process `pid` exists and is not a zombie, from /proc."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rpartition(")")[2].split()[0] != "Z"
+
+
 class TestSweepSplit:
     """From SPLIT_MIN_POINTS on, a forked child does the upper half of the
     rows. The CPU count is forced to 2, so that these run on any machine."""
@@ -477,6 +486,37 @@ class TestSweepSplit:
         assert got == expected
         n = self.N + 1
         assert parent_ranges == [range(0, n // 2), range(n // 2, n)]
+
+    def test_child_exits_with_killed_parent(self, tmp_path):
+        # SIGKILL leaves the parent no chance to kill its child, whose half
+        # of a 1e6-point sweep takes seconds: the child must end by itself.
+        argv = ["sweep", "--accel-max", "2", "--points", "1000000",
+                "--output", str(tmp_path / "sweep.csv")]
+        probe = ("import sys\nfrom diracrates import cli\n"
+                 f"cli._usable_cpus = lambda: 2\nsys.exit(cli.main({argv!r}))\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+        proc = subprocess.Popen([sys.executable, "-c", probe], env=env)
+        children = Path(f"/proc/{proc.pid}/task/{proc.pid}/children")
+        child = None
+        try:
+            if not children.exists():
+                pytest.skip("/proc does not list a process's children")
+            deadline = time.monotonic() + 30
+            while not (pids := children.read_text().split()):
+                assert proc.poll() is None and time.monotonic() < deadline
+                time.sleep(0.005)
+            (child,) = map(int, pids)
+            proc.kill()
+            proc.wait()
+            deadline = time.monotonic() + 2
+            while running(child):
+                assert time.monotonic() < deadline, "the child outlived its parent"
+                time.sleep(0.01)
+        finally:
+            proc.kill()
+            proc.wait()
+            if child is not None and running(child):
+                os.kill(child, signal.SIGKILL)
 
 
 class TestVerify:

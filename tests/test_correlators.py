@@ -62,23 +62,6 @@ class TestIntervalZ:
                 assert type(co.interval_z(dtau, p, branch)) is complex
 
 
-class TestWightman:
-    def test_values(self):
-        assert co.wightman_massless(1j) == pytest.approx(-1 / (4 * PI2))
-        assert co.wightman_massless(1.0) == pytest.approx(1 / (4 * PI2))
-
-    def test_substituted_interval(self):
-        p = WorldlineParams(accel=1.0, epsilon=1e-3)
-        dtau = 0.8
-        z = co.interval_z(dtau, p, "minus")
-        expected = -1.0 / (16 * PI2 * cmath.sinh(0.5 * dtau - 1e-3j) ** 2)
-        assert co.wightman_massless(z) == pytest.approx(expected, rel=1e-13)
-
-    def test_singularity(self):
-        with pytest.raises(SingularIntervalError):
-            co.wightman_massless(0.0)
-
-
 class TestWightmanDerivative:
     def test_value_at_one(self):
         assert co.dwightman_dz(1.0) == pytest.approx(-1 / (2 * PI2))
@@ -87,8 +70,11 @@ class TestWightmanDerivative:
         assert co.dwightman_dz(1j) == pytest.approx(-1 / (2 * PI2 * (1j) ** 3))
 
     def test_finite_difference(self):
+        def wightman(z):
+            return 1 / (4 * PI2 * z * z)
+
         z, h = 1 + 0.5j, 1e-5
-        fd = (co.wightman_massless(z + h) - co.wightman_massless(z - h)) / (2 * h)
+        fd = (wightman(z + h) - wightman(z - h)) / (2 * h)
         assert co.dwightman_dz(z) == pytest.approx(fd, abs=1e-8)
 
     def test_singularity(self):
@@ -99,8 +85,6 @@ class TestWightmanDerivative:
         for z in (0j, complex(-0.0, 0.0)):
             with pytest.raises(SingularIntervalError):
                 co.dwightman_dz(z)
-            with pytest.raises(SingularIntervalError):
-                co.wightman_massless(z)
 
 
 class TestGMatrix:
@@ -108,25 +92,32 @@ class TestGMatrix:
         from diracrates import clifford
 
         p = WorldlineParams(accel=1.0, epsilon=1e-4)
-        g = np.array(co.g_matrix(1.0, p))
+        g = np.array(co.g_matrix_from_worldline(1.0, 0.0, p))
         scalar = g[0, 0]
-        np.testing.assert_allclose(g, scalar * np.array(clifford.gamma_matrix(0)))
+        np.testing.assert_allclose(
+            g, scalar * np.array(clifford.gamma_matrix(0)), atol=1e-13 * abs(scalar)
+        )
 
     def test_trace_against_derivative(self):
         from diracrates import clifford
 
         p = WorldlineParams(accel=1.0, epsilon=1e-4)
-        g = np.array(co.g_matrix(1.0, p))
+        g = np.array(co.g_matrix_from_worldline(1.0, 0.0, p))
         d = co.dwightman_dz(co.interval_z(1.0, p, "minus"))
         assert np.trace(np.array(clifford.gamma_matrix(0)) @ g) == pytest.approx(
             -4 * d, rel=1e-13
         )
 
     def test_stationarity(self):
+        from diracrates import clifford
+
         p = WorldlineParams(accel=1.0, epsilon=1e-4)
         g_shifted = np.array(co.g_matrix_from_worldline(3.0, 2.0, p))
         g_base = np.array(co.g_matrix_from_worldline(1.0, 0.0, p))
-        g_closed = np.array(co.g_matrix(1.0, p))
+        # -gamma^0 dG/dz, G = 1/(4 pi^2 z^2), at z(1.0) on the minus branch
+        z = co.interval_z(1.0, p, "minus")
+        dg_dz = -1 / (2 * PI2 * z**3)
+        g_closed = -dg_dz * np.array(clifford.gamma_matrix(0))
         scale = np.max(np.abs(g_closed))
         assert np.max(np.abs(g_shifted - g_base)) / scale < 1e-12
         assert np.max(np.abs(g_shifted - g_closed)) / scale < 1e-12

@@ -1,6 +1,8 @@
-"""The package runs on the standard library alone."""
+"""The package runs on the standard library alone, and its public
+functions all have a use."""
 import ast
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -45,3 +47,43 @@ def test_no_runtime_dependencies():
     with open(ROOT / "pyproject.toml", "rb") as f:
         project = tomllib.load(f)["project"]
     assert project["dependencies"] == []
+
+
+def public_definitions(tree):
+    """(qualified name, node) of each public top-level function of `tree`,
+    and of each public method or property of its top-level classes."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for node in tree.body:
+        members = node.body if isinstance(node, ast.ClassDef) else [node]
+        for item in members:
+            if isinstance(item, functions) and not item.name.startswith("_"):
+                prefix = f"{node.name}." if item is not node else ""
+                yield prefix + item.name, item
+
+
+def referenced_names(tree):
+    """A Counter of the names `tree` reads, imports or looks up as attributes."""
+    return Counter(
+        node.id if isinstance(node, ast.Name)
+        else node.attr if isinstance(node, ast.Attribute)
+        else node.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute, ast.alias))
+    )
+
+
+def test_every_public_function_has_a_caller():
+    # A public function or method that nothing in src/ uses, and that the
+    # package root does not export, is dead code that only its tests keep.
+    import diracrates
+
+    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in MODULES}
+    everywhere = sum(map(referenced_names, trees.values()), Counter())
+    uncalled = [
+        f"{path.stem}.{qualname}"
+        for path, tree in trees.items()
+        for qualname, node in public_definitions(tree)
+        if everywhere[node.name] == referenced_names(node)[node.name]
+        and node.name not in diracrates.__all__
+    ]
+    assert not uncalled, f"no caller in src/ and not in __all__: {', '.join(uncalled)}"
