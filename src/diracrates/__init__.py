@@ -1,29 +1,20 @@
 """Rates of a uniformly accelerated two-level atom coupled quadratically
 to vacuum Dirac field fluctuations, with an independent quadrature oracle.
 
-The root exports the closed-form core, which needs only `math`.  The
-other names (`verify_rates`, `FourVector`, ...) are imported from their
-modules: `diracrates.oracle`, `diracrates.clifford`,
-`diracrates.correlators`.  Every module runs on the standard library.
+The root exports the closed-form core, which needs only `math`: the atom,
+`rate_rows`, its one-point case `rate_total` with its `RateBreakdown`, and
+the SI conversion.  The other names (`verify_rates`, `FourVector`, ...)
+are imported from their modules: `diracrates.oracle`,
+`diracrates.clifford`, `diracrates.correlators`.  Every module runs on the
+standard library.
 """
 
 from .atom import TwoLevelAtom
-from .rates import (
-    RateBreakdown,
-    detailed_balance_ratio,
-    planck_number,
-    polynomial_factor,
-    rate_rows,
-    rate_total,
-    si_acceleration_to_natural,
-)
+from .rates import RateBreakdown, rate_rows, rate_total, si_acceleration_to_natural
 
 __all__ = [
     "RateBreakdown",
     "TwoLevelAtom",
-    "detailed_balance_ratio",
-    "planck_number",
-    "polynomial_factor",
     "rate_rows",
     "rate_total",
     "si_acceleration_to_natural",

@@ -5,7 +5,7 @@ for a uniformly accelerated two-level atom and their total, with the
 polynomial factor, the Planck number and the temperature a/2pi, as one row
 per acceleration; it is the only loop that computes closed-form points, and
 `rate_total` is its one-point case, returning a `RateBreakdown`.
-Also the detailed-balance ratio and an SI acceleration conversion helper.
+Also an SI acceleration conversion helper.
 Natural units (hbar = c = 1) throughout; energies per unit proper time.
 """
 from __future__ import annotations
@@ -34,53 +34,15 @@ class RateBreakdown(NamedTuple):
     effective_temperature: float
 
 
-def polynomial_factor(omega: float, a: float) -> float:
-    """Acceleration correction 1 + 5 a^2/omega^2 + 4 a^4/omega^4."""
-    if omega == 0 or not math.isfinite(omega):
-        raise ValueError(f"omega must be nonzero and finite, got {omega}")
-    if not (0 <= a < math.inf):
-        raise ValueError(f"acceleration must be nonnegative and finite, got {a}")
-    try:
-        r2 = (a / omega) ** 2
-    except OverflowError:  # a float power raises where a product gives inf
-        r2 = math.inf
-    return 1.0 + 5.0 * r2 + 4.0 * r2 * r2
-
-
-def _check_positive(omega0: float, a: float) -> None:
-    if not (0 < omega0 < math.inf and 0 < a < math.inf):
-        raise ValueError(
-            f"omega0 and a must be positive and finite, got omega0={omega0}, a={a}"
-        )
-
-
-def planck_number(omega: float, a: float) -> float:
-    """Thermal occupation 1/(e^{2 pi omega / a} - 1) at temperature a/2pi.
-
-    Beyond the range of expm1 (2 pi omega / a > ~709.78) this is
-    e^{-2 pi omega / a} to double precision, subnormal and then 0.
-    """
-    _check_positive(omega, a)
-    x = 2.0 * math.pi * omega / a
-    try:
-        n = 1.0 / math.expm1(x)
-    except OverflowError:  # expm1 overflows beyond x ~ 709.78
-        return math.exp(-x)
-    except ZeroDivisionError:  # x underflowed to 0
-        n = math.inf
-    if n == math.inf:
-        raise OverflowError("thermal occupation out of double range")
-    return n
-
-
 def rate_rows(atom: TwoLevelAtom, accels: Iterable[float], mu: float) -> Iterator[tuple]:
     """The closed-form rates and their factors at each a, as sweep rows.
 
-    Yields plain tuples in `RateBreakdown`'s field order.  This is the one
-    loop that computes closed-form points: it inlines `polynomial_factor`
-    and `planck_number` with their operation order and messages, and does
-    per a only what depends on a.  Each a is checked before mu, so a bad
-    first point is named ahead of a bad coupling.
+    Yields plain tuples in `RateBreakdown`'s field order.  This is the only
+    code that computes closed-form points, the polynomial factor
+    1 + 5 a^2/w^2 + 4 a^4/w^4 and the Planck number 1/(e^{2 pi w / a} - 1)
+    among them, and it does per a only what depends on a.  Each a is
+    checked before mu, so a bad first point is named ahead of a bad
+    coupling.
     """
     w = atom.omega0
     mu_ok = math.isfinite(mu)
@@ -150,18 +112,6 @@ def rate_total(atom: TwoLevelAtom, a: float, mu: float) -> RateBreakdown:
     the one-point case of `rate_rows`."""
     (row,) = rate_rows(atom, (a,), mu)
     return RateBreakdown._make(row)
-
-
-def detailed_balance_ratio(omega0: float, a: float) -> float:
-    """Excitation over de-excitation rate magnitude at equal parameters.
-
-    Equals n/(1+n) = e^{-2 pi omega0 / a}: the polynomial factor cancels
-    in the quotient, leaving only the occupation number.  Evaluated as
-    the exponential; the quotient of rate_total values agrees wherever
-    the occupation is a normal float.
-    """
-    _check_positive(omega0, a)
-    return math.exp(-2.0 * math.pi * omega0 / a)
 
 
 def si_acceleration_to_natural(a_si: float) -> float:

@@ -933,6 +933,11 @@ def test_readme_error_shapes(argv, code, usage, tmp_path, monkeypatch, capsys):
          "error: accel_max must be finite, got inf\n"),
         (["sweep", "--accel-min", "1", "--accel-max", "inf", "--scale", "log"],
          "error: accel_max must be finite, got inf\n"),
+        # Every row is held in memory before the first is written.
+        (["sweep", "--accel-max", "1", "--points", "1000001"],
+         "error: points must be at most 1000000, got 1000001\n"),
+        (["sweep", "--accel-max", "1", "--points", "100000000000000000000"],
+         "error: points must be at most 1000000, got 100000000000000000000\n"),
     ],
 )
 def test_error_precedence(argv, message, capsys):

@@ -73,17 +73,19 @@ def referenced_names(tree):
 
 
 def test_every_public_function_has_a_caller():
-    # A public function or method that nothing in src/ uses, and that the
-    # package root does not export, is dead code that only its tests keep.
-    import diracrates
-
+    # A public function or method that nothing in src/ uses is dead code
+    # that only its tests keep.  A re-export from the package root is not a
+    # use, so __init__.py is not searched.
     trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in MODULES}
-    everywhere = sum(map(referenced_names, trees.values()), Counter())
+    everywhere = sum(
+        (referenced_names(tree) for path, tree in trees.items()
+         if path.name != "__init__.py"),
+        Counter(),
+    )
     uncalled = [
         f"{path.stem}.{qualname}"
         for path, tree in trees.items()
         for qualname, node in public_definitions(tree)
         if everywhere[node.name] == referenced_names(node)[node.name]
-        and node.name not in diracrates.__all__
     ]
-    assert not uncalled, f"no caller in src/ and not in __all__: {', '.join(uncalled)}"
+    assert not uncalled, f"no caller in src/ outside __init__.py: {', '.join(uncalled)}"

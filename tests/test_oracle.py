@@ -160,8 +160,9 @@ class TestVerifyRates:
         # the (1 + 2n) occupation structure at a = omega0.
         omega0 = a = mu = 1.0
         numeric = oracle.verify_rates(TwoLevelAtom(omega0, "excited"), a, mu).numeric_vf
-        base = -(mu**2 / (480 * math.pi**3)) * rates.polynomial_factor(omega0, a)
-        n = rates.planck_number(omega0, a)
+        f = 1 + 5 * (a / omega0) ** 2 + 4 * (a / omega0) ** 4
+        base = -(mu**2 / (480 * math.pi**3)) * f
+        n = 1 / math.expm1(2 * math.pi * omega0 / a)
         assert numeric / base == pytest.approx(1 + 2 * n, rel=1e-9, abs=0)
 
     def test_coupling_scaling(self):

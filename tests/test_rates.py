@@ -14,20 +14,47 @@ from diracrates.atom import TwoLevelAtom
 PI3 = math.pi**3
 
 
+def poly(w, a):
+    """The polynomial factor 1 + 5 a^2/w^2 + 4 a^4/w^4, in `rate_rows`'s
+    operation order."""
+    try:
+        r2 = (a / w) ** 2
+    except OverflowError:  # a float power raises where a product gives inf
+        r2 = math.inf
+    return 1.0 + 5.0 * r2 + 4.0 * r2 * r2
+
+
+def planck(w, a):
+    """The Planck number 1/(e^{2 pi w / a} - 1), e^{-2 pi w / a} where
+    expm1 overflows and 0 at a = 0, in `rate_rows`'s operation order."""
+    if a == 0:
+        return 0.0
+    x = 2.0 * math.pi * w / a
+    try:
+        return 1.0 / math.expm1(x)
+    except OverflowError:
+        return math.exp(-x)
+
+
+def factors(omega0, a):
+    """The breakdown of a ground atom at unit coupling, for its factors."""
+    return rates.rate_total(TwoLevelAtom(omega0, "ground"), a, 1.0)
+
+
 class TestPolynomialFactor:
     def test_inertial(self):
-        assert rates.polynomial_factor(2.0, 0.0) == 1.0
+        assert factors(2.0, 0.0).poly_factor == 1.0
 
     def test_printed_values(self):
-        assert rates.polynomial_factor(1.0, 2.0) == pytest.approx(85.0)
+        assert factors(1.0, 2.0).poly_factor == pytest.approx(85.0)
 
     def test_quartic_dominance(self):
-        value = rates.polynomial_factor(1.0, 100.0)
+        value = factors(1.0, 100.0).poly_factor
         assert 1.0 <= value / 4e8 <= 1.002
 
     def test_zero_frequency_rejected(self):
         with pytest.raises(ValueError):
-            rates.polynomial_factor(0.0, 1.0)
+            factors(0.0, 1.0)
 
     @pytest.mark.parametrize(
         "omega, a", [(1.0, math.nan), (1.0, math.inf), (math.nan, 1.0),
@@ -35,11 +62,7 @@ class TestPolynomialFactor:
     )
     def test_non_finite_rejected(self, omega, a):
         with pytest.raises(ValueError, match="finite"):
-            rates.polynomial_factor(omega, a)
-
-    def test_power_overflow_gives_inf(self):
-        # (a/omega)^2 leaves double range; a float power would raise.
-        assert rates.polynomial_factor(1.0, 1e200) == math.inf
+            factors(omega, a)
 
 
 class TestPlanckNumber:
@@ -47,34 +70,35 @@ class TestPlanckNumber:
         # 2 pi omega / a = ln 2  =>  occupation exactly 1
         omega = 1.0
         a = 2 * math.pi * omega / math.log(2.0)
-        assert rates.planck_number(omega, a) == pytest.approx(1.0, rel=1e-14, abs=0)
+        assert factors(omega, a).planck_n == pytest.approx(1.0, rel=1e-14, abs=0)
 
     def test_boltzmann_suppression(self):
-        assert rates.planck_number(1.0, 1e-3) == 0.0
+        assert factors(1.0, 1e-3).planck_n == 0.0
 
     def test_unruh_scale(self):
-        assert rates.planck_number(1.0, 2 * math.pi) == pytest.approx(
+        assert factors(1.0, 2 * math.pi).planck_n == pytest.approx(
             1 / (math.e - 1), rel=1e-14, abs=0
         )
 
     def test_beyond_expm1_range(self):
         # expm1 overflows for 2 pi omega / a above ~709.78; n is e^{-x} there.
-        assert rates.planck_number(1.0, 0.0086) == math.exp(-2 * math.pi / 0.0086) > 0
-        assert rates.planck_number(1.0, 2 * math.pi / 709.7) == pytest.approx(
+        n = factors(1.0, 0.0086).planck_n
+        assert n == math.exp(-2 * math.pi / 0.0086) > 0
+        assert factors(1.0, 2 * math.pi / 709.7).planck_n == pytest.approx(
             math.exp(-709.7), rel=1e-12, abs=0
         )
 
     def test_occupation_overflow(self):
         # 2 pi omega / a underflows to 0, or its reciprocal overflows.
         for omega, a in [(1e-200, 1e200), (1e-310, 1.0)]:
-            with pytest.raises(OverflowError):
-                rates.planck_number(omega, a)
+            with pytest.raises(OverflowError, match="thermal occupation"):
+                factors(omega, a)
 
     def test_invalid(self):
         with pytest.raises(ValueError):
-            rates.planck_number(-1.0, 1.0)
+            factors(-1.0, 1.0)
         with pytest.raises(ValueError):
-            rates.planck_number(1.0, 0.0)
+            factors(1.0, -1.0)
 
     @pytest.mark.parametrize(
         "omega, a", [(1.0, math.nan), (math.nan, 1.0), (math.inf, 1.0),
@@ -82,7 +106,7 @@ class TestPlanckNumber:
     )
     def test_non_finite_rejected(self, omega, a):
         with pytest.raises(ValueError, match="finite"):
-            rates.planck_number(omega, a)
+            factors(omega, a)
 
 
 class TestRateVf:
@@ -131,7 +155,7 @@ class TestRateTotal:
     def test_ground_unruh_scale(self):
         omega0, a = 1.0, 2 * math.pi
         rb = rates.rate_total(TwoLevelAtom(omega0, "ground"), a, 1.0)
-        f = rates.polynomial_factor(omega0, a)
+        f = 1 + 5 * (a / omega0) ** 2 + 4 * (a / omega0) ** 4
         expected = (1 / (60 * PI3)) * 0.25 * f / (math.e - 1)
         assert rb.total == pytest.approx(expected, rel=1e-12, abs=0)
 
@@ -153,8 +177,8 @@ class TestRateTotal:
         # relative: by 1.2e-3 at a/omega0 = 0.2, and it is 0 below 0.15.
         omega0, a = 1.7, ratio * 1.7
         rb = rates.rate_total(TwoLevelAtom(omega0, "ground"), a, 1.0)
-        base = omega0**6 / (480 * PI3) * rates.polynomial_factor(omega0, a)
-        n = rates.planck_number(omega0, a)
+        base = omega0**6 / (480 * PI3) * poly(omega0, a)
+        n = planck(omega0, a)
         assert rb.total == pytest.approx(2 * base * n, rel=1e-14, abs=0)
 
     def test_coupling_scaling_exact(self):
@@ -174,8 +198,8 @@ class TestRateTotal:
     def test_breakdown_factors(self):
         for a in (0.0, 0.0086, 1.0, 1e3):
             rb = rates.rate_total(TwoLevelAtom(1.7, "excited"), a, 1.0)
-            assert rb.poly_factor == rates.polynomial_factor(1.7, a)
-            assert rb.planck_n == (rates.planck_number(1.7, a) if a > 0 else 0.0)
+            assert rb.poly_factor == poly(1.7, a)
+            assert rb.planck_n == planck(1.7, a)
 
     def test_zero_coupling_gives_positive_zero(self):
         for level in ("ground", "excited"):
@@ -212,7 +236,7 @@ class TestSmallOmega0:
         omega0 = 1e-60
         rb = rates.rate_total(TwoLevelAtom(omega0, "ground"), 1.0, 1.0)
         assert rb.cross == pytest.approx(-4e-120 / (480 * PI3), rel=1e-14, abs=0)
-        n = rates.planck_number(omega0, 1.0)
+        n = planck(omega0, 1.0)
         assert rb.planck_n == n
         assert rb.vf == rb.total == pytest.approx(-2 * rb.cross * n, rel=1e-14, abs=0)
 
@@ -263,38 +287,43 @@ class TestRateRows:
            st.floats(min_value=1e-3, max_value=1e3),
            st.sampled_from(["ground", "excited"]))
     def test_inlined_factors_match(self, ratios, log_omega0, mu, level):
-        # The loop inlines polynomial_factor and planck_number; where
+        # The factors are bit for bit the test-local formulas; where
         # omega0^6 is normal, the cross term is -(mu^2 W / 120 pi^3) w^6 f
         # in that order, as before the small-omega0 form existed.
         w = 10.0**log_omega0
         grid = [w * r for r in ratios]
         for a, row in zip(grid, rates.rate_rows(TwoLevelAtom(w, level), grid, mu)):
             f, n = row[4], row[5]
-            assert bits([f]) == bits([rates.polynomial_factor(w, a)])
-            assert bits([n]) == bits([rates.planck_number(w, a) if a > 0 else 0.0])
+            assert bits([f]) == bits([poly(w, a)])
+            assert bits([n]) == bits([planck(w, a)])
             if w**6 >= sys.float_info.min:
                 base = (mu * mu / (120.0 * PI3)) * 0.25 * w**6 * f
                 assert bits([row[2]]) == bits([0.0 - base])
+
+
+def balance(omega0, a):
+    """Excitation over de-excitation: the ground total over |excited total|,
+    in which the polynomial factor cancels, leaving e^{-2 pi omega0 / a}."""
+    up = rates.rate_total(TwoLevelAtom(omega0, "ground"), a, 1.0).total
+    down = rates.rate_total(TwoLevelAtom(omega0, "excited"), a, 1.0).total
+    return up / abs(down)
 
 
 class TestDetailedBalance:
     def test_ln2_ratio(self):
         omega0 = 1.0
         a = 2 * math.pi * omega0 / math.log(2.0)
-        assert rates.detailed_balance_ratio(omega0, a) == pytest.approx(
-            0.5, rel=1e-12, abs=0
-        )
+        assert balance(omega0, a) == pytest.approx(0.5, rel=1e-12, abs=0)
 
     def test_high_temperature_limit(self):
-        assert rates.detailed_balance_ratio(1.0, 1e6) == pytest.approx(
-            1.0, rel=1e-5, abs=0
-        )
+        assert balance(1.0, 1e6) == pytest.approx(1.0, rel=1e-5, abs=0)
 
     def test_boltzmann_factor(self):
-        assert rates.detailed_balance_ratio(1.0, 3.0) == pytest.approx(
-            math.exp(-2 * math.pi / 3.0), rel=1e-12, abs=0
-        )
-        assert rates.detailed_balance_ratio(1.0, 1e-3) == 0.0
+        for a in (0.5, 30.0):
+            assert balance(1.0, a) == pytest.approx(
+                math.exp(-2 * math.pi / a), rel=1e-12, abs=0
+            )
+        assert balance(1.0, 1e-3) == 0.0
 
     def test_rate_total_quotient_agrees(self):
         omega0, a = 1.0, 3.0
@@ -307,7 +336,7 @@ class TestDetailedBalance:
     def test_invalid(self):
         for omega0, a in [(0.0, 1.0), (math.nan, 1.0), (1.0, math.inf)]:
             with pytest.raises(ValueError):
-                rates.detailed_balance_ratio(omega0, a)
+                balance(omega0, a)
 
 
 class TestEffectiveTemperature:
@@ -366,7 +395,7 @@ class TestProperties:
         assume(up >= sys.float_info.min)
         down = rates.rate_total(TwoLevelAtom(omega0, "excited"), a, mu).total
         assert up / abs(down) == pytest.approx(
-            rates.detailed_balance_ratio(omega0, a), rel=1e-12, abs=0
+            math.exp(-2 * math.pi * omega0 / a), rel=1e-12, abs=0
         )
 
     @settings(max_examples=100, database=None, deadline=None)
