@@ -6,6 +6,7 @@ failure, 4 identity failure.
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import os
 import sys
@@ -157,11 +158,17 @@ def _sweep_grid(
     amin: float, amax: float, points: int, scale: str, indices: range
 ) -> Iterator[float]:
     """The accelerations of the grid's rows `indices`, each from its index
-    alone, so that any split of the rows gives the same bits."""
+    alone, so that any split of the rows gives the same bits. Rows 0 and
+    points - 1 are amin and amax exactly, which the formulas can miss."""
+    last = points - 1
+    inner = range(max(indices.start, 1), min(indices.stop, last))
     if scale == "log":
         lo, hi = math.log(amin), math.log(amax)
-        return (math.exp(lo + (hi - lo) * i / (points - 1)) for i in indices)
-    return (amin + (amax - amin) * i / (points - 1) for i in indices)
+        rows = (math.exp(lo + (hi - lo) * i / last) for i in inner)
+    else:
+        rows = (amin + (amax - amin) * i / last for i in inner)
+    head = [amin] if 0 in indices else []
+    return itertools.chain(head, rows, [amax] if last in indices else [])
 
 
 def _exit_when_unread(w: int) -> None:

@@ -146,9 +146,12 @@ def _spinor(k: FourVector, s: int, m: float, sign: float, lower: bool) -> Spinor
     if s not in (1, 2):
         raise ValueError(f"spin index must be 1 or 2, got {s!r}")
     norm = math.sqrt(2.0 * m * (omega + m))
-    # The rest spinor is a unit vector, so the product is one column.
+    # The rest spinor is a unit vector, so the product is one column of
+    # slash(k), contracted here as `slash` does.
     column = s - 1 + (2 if lower else 0)
-    entries = [sign * row[column] for row in slash(k)]
+    t, x, y, z = k
+    entries = [sign * (t * g0 - x * g1 - y * g2 - z * g3)
+               for g0, g1, g2, g3 in (row[column] for row in _GAMMA_ENTRIES)]
     entries[column] += m
     return tuple([e / norm for e in entries])
 

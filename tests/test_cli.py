@@ -188,6 +188,32 @@ class TestSweep:
         assert float(first[0]) == 0.0
         assert float(first[3]) == 0.0  # rate_total
 
+    @pytest.mark.parametrize(
+        "scale, amin, amax",
+        [("log", 1e-3, 1e7), ("log", 1e-310, 1e-300), ("linear", 0.2, 0.9),
+         ("linear", 0.7, 2.9)],
+    )
+    @pytest.mark.parametrize("points", [2, 3, 1001])
+    def test_grid_endpoints_exact(self, scale, amin, amax, points):
+        # The formulas give 0.0010000000000000002 and 10000000.000000006 for
+        # the ends of the first grid, 0.8999999999999999 and
+        # 2.9000000000000004 for the last rows of the linear ones.
+        grid = list(cli._sweep_grid(amin, amax, points, scale, range(points)))
+        assert len(grid) == points
+        assert (grid[0], grid[-1]) == (amin, amax)
+        last = points - 1
+        if scale == "log":
+            lo, hi = math.log(amin), math.log(amax)
+            inner = [math.exp(lo + (hi - lo) * i / last) for i in range(1, last)]
+        else:
+            inner = [amin + (amax - amin) * i / last for i in range(1, last)]
+        assert grid[1:-1] == inner
+        # Any split of the rows gives the same grid.
+        for k in (0, 1, points // 2, last, points):
+            halves = [cli._sweep_grid(amin, amax, points, scale, rows)
+                      for rows in (range(0, k), range(k, points))]
+            assert [*halves[0], *halves[1]] == grid
+
     def test_monotone_ground_totals(self, capsys):
         run_cli(
             ["sweep", "--omega0", "1", "--accel-min", "0.1", "--accel-max", "20",
@@ -259,7 +285,7 @@ class TestSweep:
         [
             (["--scale", "log", "--accel-min", "0.01", "--accel-max", "1e6",
               "--points", "10000", "--state", "ground", "--omega0", "1"],
-             "c534c27aa35f8018169e60b26e24a33ed7face65b3807a7a7d52ff7efe8a1913"),
+             "a293ec7aa3f20cc1b58f4fa1c7463a17ace8f0ac4f889976ff84171ee6431c2a"),
             (["--accel-min", "0", "--accel-max", "100", "--points", "10000",
               "--state", "excited", "--omega0", "3.7", "--coupling", "0.3"],
              "b704fae932ee42c056c4bcfa37080a2226acbb5503a2416c94be4ee35d9eb60c"),
@@ -269,7 +295,7 @@ class TestSweep:
             (["--scale", "log", "--accel-min", "1e-3", "--accel-max", "1e7",
               "--points", "100000", "--state", "excited", "--omega0", "2",
               "--coupling", "0.7"],
-             "c189720579e452d57c8363b25cbfe8806fc3e96b5061c73747e4b1803ef23e00"),
+             "3b7dd2b0df175473b07ed26743c67eb191067321b2f409e67dd2e160530983f7"),
         ],
         ids=["log-ground", "linear-excited", "expm1-band", "log-excited-1e5"],
     )
@@ -454,6 +480,26 @@ class TestSweepSplit:
         return out.read_bytes(), self.reference(1.0, 0.1, 1e4, self.N + 1, "log",
                                                 "excited", 1.0).encode()
 
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize(
+        "scale, amin, amax", [("log", 1e-3, 1e7), ("linear", 0.7, 2.9)]
+    )
+    def test_endpoints_exact(self, scale, amin, amax, cpus, monkeypatch,
+                             parent_ranges, tmp_path):
+        # The first and last rows print --accel-min and --accel-max, with
+        # the split (2 CPUs) and without it.
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--accel-min", repr(amin), "--accel-max", repr(amax),
+                "--points", str(self.N), "--scale", scale, "--output", str(out)]
+        assert run_cli(argv) == 0
+        rows = out.read_text().splitlines()[1:]
+        assert len(rows) == self.N
+        assert float(rows[0].split(",")[0]) == amin
+        assert float(rows[-1].split(",")[0]) == amax
+        split = [range(0, self.N // 2)] if cpus == 2 else [range(0, self.N)]
+        assert parent_ranges == split
+
     @pytest.mark.parametrize("failing", ["pipe", "fork"])
     def test_no_fork_or_pipe_computes_in_process(self, failing, monkeypatch,
                                                  parent_ranges, tmp_path):
@@ -594,6 +640,27 @@ class TestVerify:
             max(e["rel_err_vf"], e["rel_err_cross"]) < 1e-9
             for e in report["entries"]
         )
+
+    def test_reach(self, capsys):
+        # 481,145 nodes at a/omega0 = 1e-4; the node limit lies at ~4.81e-5.
+        code = run_cli(
+            ["verify", "--accel", "1e-4", "--state", "excited", "--format", "json"]
+        )
+        assert code == 0
+        (entry,) = strict_json(capsys.readouterr().out)["entries"]
+        assert entry["passed"] and entry["quadrature"]["nodes"] == 481_145
+        assert max(entry["rel_err_vf"], entry["rel_err_cross"]) < 1e-12
+        code = run_cli(["verify", "--accel", "4.8e-5", "--state", "excited"])
+        assert code == 3
+        out = capsys.readouterr().out
+        assert "quadrature needs 1e+06 nodes, above the limit 1000000\n" in out
+        code = run_cli(
+            ["verify", "--accel", "4.8e-5", "--state", "excited", "--format", "json"]
+        )
+        assert code == 3
+        (entry,) = strict_json(capsys.readouterr().out)["entries"]
+        assert entry["error"] == "quadrature needs 1e+06 nodes, above the limit 1000000"
+        assert entry["diagnostics"]["nodes"] == 1_002_385
 
     @pytest.mark.parametrize("accel", ["5e-324", "1e-320"])
     def test_subnormal_accel_node_limit(self, accel, capsys):

@@ -35,7 +35,7 @@ class TestShiftedLine:
             oracle._line_sums(TwoLevelAtom(1.0, "excited"), 1e-5)
         assert err.value.diagnostics["nodes"] > oracle._MAX_NODES
 
-    @pytest.mark.parametrize("a, count", [(1e-4, "1.02e+06"), (1e-300, "4.65e+303")])
+    @pytest.mark.parametrize("a, count", [(4e-5, "1.2e+06"), (1e-300, "4.81e+301")])
     def test_node_limit_message(self, a, count):
         # One line: the count to 3 significant digits, not its 305 digits at
         # 1e-300; the diagnostics keep the exact integer.
@@ -55,6 +55,83 @@ class TestShiftedLine:
             oracle.verify_rates(TwoLevelAtom(1.0, "ground"), a, 1.0)
         assert err.value.diagnostics["nodes"] is None
         assert set(err.value.diagnostics) == {"s", "h", "nodes", "Y"}
+
+
+def y_of_s(s):
+    """The former cut-off, where 64 e^{-6|u|} falls below _TAIL sin^6 s:
+    beyond the oracle's one Y for s < pi/2, and equal to it at pi/2."""
+    return (math.log(64.0 / oracle._TAIL) - 6.0 * math.log(math.sin(s))) / 6.0
+
+
+def sums_cut_at_y_of_s(omega0, a):
+    """For each level, the oracle's [vf, cross] sums at steps h and 2h; the
+    same on the grid cut at y_of_s, as the oracle's sums plus the nodes
+    between the two cut-offs (both levels share each trace); and the number
+    of those extra nodes."""
+    levels = [TwoLevelAtom(omega0, level) for level in ("ground", "excited")]
+    got = [oracle._line_sums(atom, a) for atom in levels]
+    s, h, nodes = (got[0][2][key] for key in ("s", "h", "nodes"))
+    n, n_former = nodes // 4, math.ceil(y_of_s(s) / (2.0 * h))
+    line = correlators.WorldlineParams(2.0, epsilon=s)
+    scaled = [TwoLevelAtom(2.0 * omega0 / a, atom.level) for atom in levels]
+    # extra[level][parity][integrand]: Re f at the nodes beyond the one Y
+    extra = [[[[], []], [[], []]] for _ in levels]
+    for k in range(2 * n + 1, 2 * n_former + 1):
+        u = k * h
+        g, z = correlators.trace_pair(u, line), u - 1j * s
+        for terms, atom in zip(extra, scaled):
+            terms[k % 2][0].append((g * susceptibility_c(atom, z)).real)
+            terms[k % 2][1].append((g * susceptibility_chi(atom, z)).real)
+    for (t_h, t_2h, _), (even, odd) in zip(got, extra):
+        ref_h = [t + 2.0 * h * (math.fsum(e) + math.fsum(o))
+                 for t, e, o in zip(t_h, even, odd)]
+        ref_2h = [t + 4.0 * h * math.fsum(e) for t, e in zip(t_2h, even)]
+        yield (t_h, t_2h), (ref_h, ref_2h), 4 * n_former + 1 - nodes
+
+
+class TestCutOff:
+    """The line is cut at one Y for every s. Below a/omega0 = pi/6 that cuts
+    it short of the former Y(s); the sums grow like 1/sin^5 s there, and the
+    nodes between the two change nothing."""
+
+    def test_one_cut_off(self):
+        y = math.log(64.0 / oracle._TAIL) / 6.0
+        for a in (1e-3, 0.1, math.pi / 6, 1e6):
+            assert oracle._line_sums(TwoLevelAtom(1.0, "excited"), a)[2]["Y"] == y
+        for a in (1e-300, 1e-5):
+            with pytest.raises(ConvergenceError) as err:
+                oracle._line_sums(TwoLevelAtom(1.0, "excited"), a)
+            assert err.value.diagnostics["Y"] == y
+
+    @pytest.mark.parametrize("omega0, ratio", [
+        (1.0, 1.1e-4), (0.37, 1e-3), (8.0, 1e-3), (0.37, 1e-2), (8.0, 0.1),
+        (0.37, 0.3),
+    ])
+    def test_matches_former_cut_off(self, omega0, ratio):
+        for got, ref, extra in sums_cut_at_y_of_s(omega0, ratio * omega0):
+            assert extra > 0
+            for sums, ref_sums in zip(got, ref):
+                for value, expected in zip(sums, ref_sums):
+                    assert abs(value - expected) <= 1e-15 * abs(expected)
+
+    # [vf, cross] at steps h and 2h at the ground level, as the former Y(s)
+    # cut-off gave them; the excited level negates cross.
+    @pytest.mark.parametrize("omega0, a, t_h, t_2h", [
+        (1.0, math.pi / 6, [0.14595337024394875, -0.14595157671796763],
+         [0.1459536669851767, -0.14595187345554914]),
+        (0.37, 1.0, [0.004552846539259971, -0.003741606715403435],
+         [0.004552846593851396, -0.0037416067602675965]),
+        (8.0, 1e3, [0.0027383907051362994, -6.880877778982344e-05],
+         [0.002738390725664197, -6.880877830563717e-05]),
+    ])
+    def test_grid_and_sums_unchanged_above_pi_over_6(self, omega0, a, t_h, t_2h):
+        s = math.pi / 2
+        former_grid = {"s": s, "h": 0.1 * s, "nodes": 93, "Y": y_of_s(s)}
+        for level, sign in (("ground", 1.0), ("excited", -1.0)):
+            got = oracle._line_sums(TwoLevelAtom(omega0, level), a)
+            assert got[2] == former_grid
+            assert got[0] == [t_h[0], sign * t_h[1]]
+            assert got[1] == [t_2h[0], sign * t_2h[1]]
 
 
 class TestVfIntegral:
