@@ -3,7 +3,7 @@ to vacuum Dirac field fluctuations, with an independent quadrature oracle.
 
 The root exports the closed-form core, which needs only `math`: the atom,
 `rate_rows`, its one-point case `rate_total` with its `RateBreakdown`, and
-the SI conversion.  The other names (`verify_rates`, `FourVector`, ...)
+the SI conversion.  The other names (`verify_rates`, `boost_matrix`, ...)
 are imported from their modules: `diracrates.oracle`,
 `diracrates.clifford`, `diracrates.correlators`.  Every module runs on the
 standard library.

@@ -113,12 +113,12 @@ def _with_config(argv: list[str], parser: argparse.ArgumentParser) -> list[str]:
 
 
 def cmd_rate(args) -> int:
-    _, vf, cross, total, poly, planck_n, t_eff = rates.rate_total(
+    accel, vf, cross, total, poly, planck_n, t_eff = rates.rate_total(
         TwoLevelAtom(args.omega0, args.state), args.accel, args.coupling
     )
     fields = {
         "omega0": args.omega0,
-        "accel": args.accel,
+        "accel": accel,
         "coupling": args.coupling,
         "state": args.state,
         "rate_vf": vf,

@@ -1,22 +1,19 @@
 """Gamma-matrix algebra in the Dirac representation.
 
-Provides the four gamma matrices, Feynman-slash contraction, massive
-spinors with their spin sums, and the boost matrices that implement
+Provides the four gamma matrices and the boost matrices that implement
 Fermi-Walker transport of spinors along a uniformly accelerated
 worldline.  Everything runs on the standard library: a matrix is an
-immutable tuple of four row tuples of Python complex, a spinor a tuple of
-four complex, and `matmul`, `combine` and `scale` are the only
-arithmetic on them.  Metric signature is (+,-,-,-).
+immutable tuple of four row tuples of Python complex, and `matmul`,
+`combine` and `scale` are the only arithmetic on them.  Metric signature
+is (+,-,-,-).
 """
 from __future__ import annotations
 
 import cmath
 import math
-from typing import NamedTuple
 
 # A 4x4 complex matrix: four row tuples of four Python complex.
 Matrix4C = tuple[tuple[complex, ...], ...]
-Spinor = tuple[complex, ...]
 
 METRIC = (
     (1.0, 0.0, 0.0, 0.0),
@@ -31,19 +28,6 @@ def _matrix(*rows) -> Matrix4C:
 
 
 IDENTITY4 = _matrix((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
-
-
-class FourVector(NamedTuple):
-    """Contravariant four-vector (t, x, y, z) in natural units."""
-
-    t: float
-    x: float
-    y: float
-    z: float
-
-    @property
-    def spatial_norm2(self) -> float:
-        return self.x**2 + self.y**2 + self.z**2
 
 
 # The helpers below spell out the four entries of a row: in pure Python
@@ -89,8 +73,6 @@ _GAMMA = (
 )
 # gamma^0 gamma^1, the generator of boosts in the t-x plane
 _G0G1 = matmul(_GAMMA[0], _GAMMA[1])
-# Entry (i, j) of the four gammas together, for one-pass contractions
-_GAMMA_ENTRIES = tuple(tuple(zip(*rows)) for rows in zip(*_GAMMA))
 
 
 def gamma_matrix(mu: int) -> Matrix4C:
@@ -102,15 +84,6 @@ def gamma_matrix(mu: int) -> Matrix4C:
 
 def anticommutator(a: Matrix4C, b: Matrix4C) -> Matrix4C:
     return combine(1.0, matmul(a, b), 1.0, matmul(b, a))
-
-
-def slash(k: FourVector) -> Matrix4C:
-    """Contraction k^mu gamma_mu with the index lowered by the metric."""
-    t, x, y, z = k
-    return tuple([
-        tuple([t * g0 - x * g1 - y * g2 - z * g3 for g0, g1, g2, g3 in row])
-        for row in _GAMMA_ENTRIES
-    ])
 
 
 def boost_matrix(a: float, tau: complex) -> Matrix4C:
@@ -127,64 +100,3 @@ def boost_matrix(a: float, tau: complex) -> Matrix4C:
         raise ValueError(f"tau must be finite, got {tau}")
     half = 0.5 * a * tau
     return combine(cmath.cosh(half), IDENTITY4, cmath.sinh(half), _G0G1)
-
-
-def _check_on_shell(k: FourVector, m: float) -> float:
-    if not 0 < m < math.inf:
-        raise ValueError(f"spinor mass must be positive and finite, got {m}")
-    omega = math.sqrt(k.spatial_norm2 + m * m)
-    if not abs(k.t - omega) <= 1e-9 * omega:
-        raise ValueError(
-            f"momentum is off shell: k0={k.t}, sqrt(|k|^2+m^2)={omega}"
-        )
-    return omega
-
-
-def _spinor(k: FourVector, s: int, m: float, sign: float, lower: bool) -> Spinor:
-    """(sign slash(k) + m) applied to the rest spinor of spin s, normalised."""
-    omega = _check_on_shell(k, m)
-    if s not in (1, 2):
-        raise ValueError(f"spin index must be 1 or 2, got {s!r}")
-    norm = math.sqrt(2.0 * m * (omega + m))
-    # The rest spinor is a unit vector, so the product is one column of
-    # slash(k), contracted here as `slash` does.
-    column = s - 1 + (2 if lower else 0)
-    t, x, y, z = k
-    entries = [sign * (t * g0 - x * g1 - y * g2 - z * g3)
-               for g0, g1, g2, g3 in (row[column] for row in _GAMMA_ENTRIES)]
-    entries[column] += m
-    return tuple([e / norm for e in entries])
-
-
-def spinor_u(k: FourVector, s: int, m: float) -> Spinor:
-    """Particle spinor (slash(k)+m) u(0,s) / sqrt(2m(omega+m))."""
-    return _spinor(k, s, m, 1.0, lower=False)
-
-
-def spinor_v(k: FourVector, s: int, m: float) -> Spinor:
-    """Antiparticle spinor (-slash(k)+m) v(0,s) / sqrt(2m(omega+m))."""
-    return _spinor(k, s, m, -1.0, lower=True)
-
-
-def dirac_adjoint(psi: Spinor) -> Spinor:
-    """psi-bar = psi^dagger gamma^0, as a row vector."""
-    # gamma^0 is diagonal in the Dirac representation.
-    return tuple([p.conjugate() * _GAMMA[0][i][i] for i, p in enumerate(psi)])
-
-
-def _spin_sum(p: Spinor, q: Spinor) -> Matrix4C:
-    """p p-bar + q q-bar, the sum over the two spins."""
-    pb, qb = dirac_adjoint(p), dirac_adjoint(q)
-    return tuple([
-        tuple([x * y + w * z for y, z in zip(pb, qb)]) for x, w in zip(p, q)
-    ])
-
-
-def spin_sum_u(k: FourVector, m: float) -> Matrix4C:
-    """Sum over spins of u u-bar, equals (slash(k)+m)/2m on shell."""
-    return _spin_sum(spinor_u(k, 1, m), spinor_u(k, 2, m))
-
-
-def spin_sum_v(k: FourVector, m: float) -> Matrix4C:
-    """Sum over spins of v v-bar, equals (slash(k)-m)/2m on shell."""
-    return _spin_sum(spinor_v(k, 1, m), spinor_v(k, 2, m))

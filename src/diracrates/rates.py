@@ -79,8 +79,8 @@ def rate_rows(atom: TwoLevelAtom, accels: Iterable[float], mu: float) -> Iterato
                 n = inf
             if n == inf:
                 raise OverflowError("thermal occupation out of double range")
-        else:
-            n = 0.0
+        else:  # a = -0.0 gives +0.0 in the row, a / 2pi included
+            a = n = 0.0
         if tiny_w6 and f < inf:
             aw2, a2w = a * w * w, a * a * w
             base = pref * (w6 + 5.0 * aw2 * aw2 + 4.0 * a2w * a2w)

@@ -2,11 +2,9 @@
 from __future__ import annotations
 
 import math
-import random
 from typing import NamedTuple
 
 from . import clifford, correlators
-from .clifford import FourVector
 
 
 class CheckResult(NamedTuple):
@@ -82,24 +80,6 @@ def check_boost_group() -> CheckResult:
     return CheckResult("boost group identities", len(devs), _worst(devs), 1e-13)
 
 
-def check_spin_sums() -> CheckResult:
-    """Spin sums reproduce (slash(k) +- m)/2m for 100 random on-shell momenta."""
-    n_momenta, m = 100, 1.0
-    rng = random.Random(7)
-    devs = []
-    for _ in range(n_momenta):
-        kx, ky, kz = (rng.gauss(0.0, 2.0) for _ in range(3))
-        k = FourVector(math.sqrt(kx * kx + ky * ky + kz * kz + m * m), kx, ky, kz)
-        sk, identity = clifford.slash(k), clifford.IDENTITY4
-        plus = clifford.combine(0.5 / m, sk, 0.5, identity)
-        minus = clifford.combine(0.5 / m, sk, -0.5, identity)
-        devs += [
-            _rel_dev(clifford.spin_sum_u(k, m), plus),
-            _rel_dev(clifford.spin_sum_v(k, m), minus),
-        ]
-    return CheckResult("spin sums", len(devs), _worst(devs), 1e-12)
-
-
 def check_trace_vs_closed() -> CheckResult:
     """Statistical functions from trace combinations vs the sinh^-6 closed forms."""
     devs = []
@@ -131,7 +111,6 @@ def run_all() -> list[CheckResult]:
     return [
         check_gamma_algebra(),
         check_boost_group(),
-        check_spin_sums(),
         check_trace_vs_closed(),
         check_two_point_vs_trace(),
     ]

@@ -33,15 +33,6 @@ def test_criterion_2_boost_group():
     )
 
 
-def test_criterion_3_spin_sums():
-    result = selfcheck.check_spin_sums()
-    _report(
-        3,
-        f"spin sums at m=1 over 100 momenta, max dev {result.max_deviation:.2e}",
-        result.max_deviation < 1e-12,
-    )
-
-
 def test_criterion_4_trace_route_vs_closed_forms():
     start = time.monotonic()
     result = selfcheck.check_trace_vs_closed()

@@ -164,6 +164,14 @@ class TestRate:
         version = json.dumps(diracrates.__version__)
         assert out == self.PINNED[fmt].replace("VERSION", version)
 
+    @pytest.mark.parametrize("fmt", ["human", "csv", "json"])
+    def test_negative_zero_acceleration_prints_zero(self, fmt, capsys):
+        # a = -0.0 prints as a = 0 does: its accel and T_eff are not "-0".
+        assert run_cli(["rate", "--accel", "-0.0", "--format", fmt]) == 0
+        negative = capsys.readouterr().out
+        assert run_cli(["rate", "--accel", "0", "--format", fmt]) == 0
+        assert negative == capsys.readouterr().out
+
     def test_usage_error_exit_2(self, capsys):
         with pytest.raises(SystemExit) as err:
             run_cli(["rate", "--omega0", "not-a-number"])
@@ -187,6 +195,15 @@ class TestSweep:
         first = lines[1].split(",")
         assert float(first[0]) == 0.0
         assert float(first[3]) == 0.0  # rate_total
+
+    def test_negative_zero_first_row_prints_zero(self, capsys):
+        argv = ["sweep", "--accel-max", "1", "--points", "2"]
+        assert run_cli(argv + ["--accel-min", "-0.0"]) == 0
+        negative = capsys.readouterr().out
+        assert run_cli(argv + ["--accel-min", "0"]) == 0
+        assert negative == capsys.readouterr().out
+        assert negative.splitlines()[1].startswith("0,")
+        assert negative.splitlines()[1].endswith(",0")
 
     @pytest.mark.parametrize(
         "scale, amin, amax",
@@ -695,7 +712,7 @@ class TestSelfcheck:
         assert code == 0
         out = capsys.readouterr().out
         assert "16 cases checked" in out
-        assert out.count("pass") == 5
+        assert out.count("pass") == 4
         assert "two-point matrix vs trace: 360 cases checked" in out
 
     def test_failed_suite_exit_4(self, monkeypatch, capsys):
@@ -713,21 +730,23 @@ class TestSelfcheck:
         assert captured.err == f"identity violated: {bad.name}\n"
 
     def test_nan_deviation_fails(self, monkeypatch, capsys):
-        # One nan entry, not the first, in one spin sum: the suite's
-        # deviation is nan and it fails.
+        # One nan entry, not the first, in the boost at tau = 3: the boost
+        # suite's deviation is nan and it fails.  The two-point suite's
+        # boosts are at tau <= 0 or off the real line, so it still passes.
         from diracrates import clifford
 
-        spin_sum_u = clifford.spin_sum_u
+        boost_matrix = clifford.boost_matrix
 
-        def with_nan(k, m):
-            rows = [list(row) for row in spin_sum_u(k, m)]
-            rows[2][1] = complex(math.nan, 0.0)
+        def with_nan(a, tau):
+            rows = [list(row) for row in boost_matrix(a, tau)]
+            if tau == 3.0:
+                rows[2][1] = complex(math.nan, 0.0)
             return tuple(map(tuple, rows))
 
-        monkeypatch.setattr(clifford, "spin_sum_u", with_nan)
+        monkeypatch.setattr(clifford, "boost_matrix", with_nan)
         assert run_cli(["selfcheck"]) == 4
         out = capsys.readouterr().out
-        assert "spin sums: 200 cases checked, max deviation nan" in out
+        assert "boost group identities: 154 cases checked, max deviation nan" in out
         assert out.count("FAIL") == 1
 
 

@@ -1,20 +1,14 @@
-"""Gamma algebra, boosts, spinors, and traces, with numpy as the reference."""
+"""Gamma algebra, matrix arithmetic and boosts, with numpy as the reference."""
 import math
 
 import numpy as np
 import pytest
 
 from diracrates import clifford
-from diracrates.clifford import FourVector
-
-
-def random_onshell(rng, m=1.0):
-    kvec = rng.normal(scale=2.0, size=3).tolist()
-    return FourVector(math.sqrt(sum(x * x for x in kvec) + m * m), *kvec)
 
 
 def mat(m):
-    """A clifford matrix or spinor as a numpy array."""
+    """A clifford matrix as a numpy array."""
     return np.array(m, dtype=complex)
 
 
@@ -48,12 +42,11 @@ class TestMatrixHelpers:
         assert np.all(np.abs(got - ca * a) <= 4 * eps * abs(ca) * np.abs(a))
 
     def test_matrices_are_tuples_of_complex(self):
-        k = FourVector(2.0, 0.5, -1.0, 0.3)
+        g1, g2 = clifford.gamma_matrix(1), clifford.gamma_matrix(2)
         for m in (
-            clifford.gamma_matrix(2), clifford.IDENTITY4, clifford.slash(k),
-            clifford.boost_matrix(1.0, 0.5), clifford.spin_sum_u(
-                FourVector(math.sqrt(2.0), 1.0, 0, 0), 1.0
-            ),
+            g2, clifford.IDENTITY4, clifford.anticommutator(g1, g1),
+            clifford.boost_matrix(1.0, 0.5), clifford.matmul(g1, g2),
+            clifford.combine(0.5, g1, -2.0, g2), clifford.scale(3.0, g2),
         ):
             assert type(m) is tuple and len(m) == 4
             for row in m:
@@ -100,29 +93,6 @@ class TestGammaMatrices:
     def test_metric_and_identity(self):
         np.testing.assert_array_equal(np.array(clifford.METRIC), np.diag([1, -1, -1, -1]))
         np.testing.assert_array_equal(mat(clifford.IDENTITY4), np.eye(4))
-
-
-class TestSlash:
-    def test_rest_frame(self):
-        m = 1.7
-        np.testing.assert_allclose(
-            clifford.slash(FourVector(m, 0, 0, 0)), m * mat(clifford.gamma_matrix(0))
-        )
-
-    def test_zero(self):
-        np.testing.assert_array_equal(
-            clifford.slash(FourVector(0, 0, 0, 0)), np.zeros((4, 4))
-        )
-
-    def test_square_is_invariant(self):
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            k = FourVector(*rng.normal(size=4).tolist())
-            sq = mat(clifford.slash(k)) @ mat(clifford.slash(k))
-            k2 = k.t**2 - k.x**2 - k.y**2 - k.z**2
-            np.testing.assert_allclose(
-                sq, k2 * np.eye(4), atol=1e-13 * max(1.0, abs(k2))
-            )
 
 
 class TestBoost:
@@ -185,69 +155,3 @@ class TestBoost:
         with pytest.raises(ValueError, match=r"^tau must be finite, got "):
             clifford.boost_matrix(1.0, tau)
 
-
-class TestSpinors:
-    def test_rest_frame_unit_spinors(self):
-        k = FourVector(1.0, 0, 0, 0)
-        np.testing.assert_allclose(clifford.spinor_u(k, 1, 1.0), [1, 0, 0, 0])
-        np.testing.assert_allclose(clifford.spinor_u(k, 2, 1.0), [0, 1, 0, 0])
-        np.testing.assert_allclose(clifford.spinor_v(k, 1, 1.0), [0, 0, 1, 0])
-        np.testing.assert_allclose(clifford.spinor_v(k, 2, 1.0), [0, 0, 0, 1])
-
-    def test_spin_sums_random_momenta(self):
-        rng = np.random.default_rng(11)
-        for _ in range(100):
-            k = random_onshell(rng)
-            sk = clifford.slash(k)
-            np.testing.assert_allclose(
-                clifford.spin_sum_u(k, 1.0), (sk + np.eye(4)) / 2, atol=1e-12
-            )
-            np.testing.assert_allclose(
-                clifford.spin_sum_v(k, 1.0), (sk - np.eye(4)) / 2, atol=1e-12
-            )
-
-    def test_normalization(self):
-        rng = np.random.default_rng(5)
-        for _ in range(10):
-            k = random_onshell(rng)
-            u = clifford.spinor_u(k, 1, 1.0)
-            v = clifford.spinor_v(k, 2, 1.0)
-            assert mat(clifford.dirac_adjoint(u)) @ mat(u) == pytest.approx(1.0, abs=1e-12)
-            assert mat(clifford.dirac_adjoint(v)) @ mat(v) == pytest.approx(-1.0, abs=1e-12)
-
-    def test_dirac_adjoint_matches_numpy(self):
-        rng = np.random.default_rng(19)
-        psi = rng.normal(size=4) + 1j * rng.normal(size=4)
-        np.testing.assert_array_equal(
-            mat(clifford.dirac_adjoint(tuple(psi.tolist()))),
-            psi.conj() @ mat(clifford.gamma_matrix(0)),
-        )
-
-    def test_massless_rejected(self):
-        k = FourVector(1.0, 1.0, 0, 0)
-        with pytest.raises(ValueError):
-            clifford.spinor_u(k, 1, 0.0)
-
-    def test_off_shell_rejected(self):
-        with pytest.raises(ValueError):
-            clifford.spinor_u(FourVector(5.0, 0.1, 0, 0), 1, 1.0)
-
-    @pytest.mark.parametrize("spinor", [clifford.spinor_u, clifford.spinor_v])
-    @pytest.mark.parametrize(
-        "k", [FourVector(math.nan, 0, 0, 0), FourVector(1.0, math.nan, 0, 0),
-              FourVector(math.inf, math.inf, 0, 0)],
-    )
-    def test_nan_momentum_rejected(self, spinor, k):
-        with pytest.raises(ValueError, match="^momentum is off shell: "):
-            spinor(k, 1, 1.0)
-
-    @pytest.mark.parametrize("m", [math.nan, math.inf])
-    def test_nan_mass_rejected(self, m):
-        with pytest.raises(
-            ValueError, match=rf"^spinor mass must be positive and finite, got {m}$"
-        ):
-            clifford.spinor_u(FourVector(1.0, 0, 0, 0), 1, m)
-
-    def test_bad_spin_index(self):
-        with pytest.raises(ValueError, match="^spin index must be 1 or 2, got 3$"):
-            clifford.spinor_v(FourVector(1.0, 0, 0, 0), 3, 1.0)

@@ -1,5 +1,5 @@
 """The package runs on the standard library alone, and its public
-functions all have a use."""
+functions, classes and constants all have a use."""
 import ast
 import sys
 from collections import Counter
@@ -38,7 +38,7 @@ def test_parses_as_python_3_10(path):
 
 
 def test_function_level_imports_are_seen():
-    tree = ast.parse("def f():\n    import numpy\n    from .clifford import slash\n")
+    tree = ast.parse("def f():\n    import numpy\n    from .clifford import matmul\n")
     assert set(imported_names(tree)) == {"numpy", "diracrates"}
 
 
@@ -72,20 +72,49 @@ def referenced_names(tree):
     )
 
 
-def test_every_public_function_has_a_caller():
-    # A public function or method that nothing in src/ uses is dead code
-    # that only its tests keep.  A re-export from the package root is not a
-    # use, so __init__.py is not searched.
+def top_level_bindings(tree):
+    """(name, node) of each top-level class of `tree` and of each name that a
+    top-level assignment binds (constants and type aliases), public or
+    private; dunders such as __all__ are left out."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if not (name.startswith("__") and name.endswith("__")):
+                yield name, node
+
+
+def unused(definitions):
+    """`module.name` of each of `definitions(tree)` that nothing in src/
+    references outside the definition itself.  A re-export from the package
+    root is not a use, so __init__.py is not searched."""
     trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in MODULES}
     everywhere = sum(
         (referenced_names(tree) for path, tree in trees.items()
          if path.name != "__init__.py"),
         Counter(),
     )
-    uncalled = [
+    return [
         f"{path.stem}.{qualname}"
         for path, tree in trees.items()
-        for qualname, node in public_definitions(tree)
-        if everywhere[node.name] == referenced_names(node)[node.name]
+        for qualname, node in definitions(tree)
+        if everywhere[name := qualname.rpartition(".")[2]] == referenced_names(node)[name]
     ]
+
+
+def test_every_public_function_has_a_caller():
+    # A public function or method that nothing in src/ uses is dead code
+    # that only its tests keep.
+    uncalled = unused(public_definitions)
     assert not uncalled, f"no caller in src/ outside __init__.py: {', '.join(uncalled)}"
+
+
+def test_every_class_and_constant_has_a_use():
+    # So is a class, type alias or constant that nothing in src/ reads.
+    unread = unused(top_level_bindings)
+    assert not unread, f"no use in src/ outside __init__.py: {', '.join(unread)}"

@@ -228,6 +228,13 @@ class TestRateTotal:
         assert rb[6] == rb.effective_temperature == 2.0 / (2 * math.pi)
         assert rates.rate_total(TwoLevelAtom(1.7), 0.0, 0.3)[6] == 0.0
 
+    @pytest.mark.parametrize("level", ["ground", "excited"])
+    def test_negative_zero_acceleration_reads_positive_zero(self, level):
+        rb = rates.rate_total(TwoLevelAtom(1.0, level), -0.0, 1.0)
+        assert rb == rates.rate_total(TwoLevelAtom(1.0, level), 0.0, 1.0)
+        for value in (rb.accel, rb.effective_temperature):
+            assert math.copysign(1.0, value) == 1.0
+
 
 class TestSmallOmega0:
     # omega0^6 is subnormal or 0 below omega0 ~ 1.2e-51, while f is huge;
