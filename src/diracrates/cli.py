@@ -87,7 +87,7 @@ def _with_config(argv: list[str], parser: argparse.ArgumentParser) -> list[str]:
     # flag the file supplies. Only a command taking --config reads it, not with -h.
     if not argv or argv[0] not in CONFIG_COMMANDS:
         return argv
-    command = parser._subparsers._group_actions[0].choices[argv[0]]
+    command = parser.commands[argv[0]]
     finder = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
     finder.error = command.error
     for option, action in command._option_string_actions.items():
@@ -343,6 +343,7 @@ def cmd_selfcheck(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser; its `commands` maps each command to its parser."""
     parser = argparse.ArgumentParser(
         prog="diracrates",
         description=(
@@ -399,6 +400,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("selfcheck", help="run algebra identity suites")
     p_check.set_defaults(func=cmd_selfcheck)
 
+    parser.commands = {"rate": p_rate, "sweep": p_sweep, "verify": p_verify,
+                       "selfcheck": p_check}
     return parser
 
 

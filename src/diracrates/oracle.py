@@ -127,15 +127,16 @@ def verify_rates(
             f"a={a}, mu={mu}"
         )
     t_h, t_2h, grid = _line_sums(atom, a)
-    # The scale -mu^2 omega_bd (a/2)^5 in float products, which overflow
-    # to inf without a warning; one factor a/2 goes on the sums first, so
-    # that the scale stays finite wherever the closed forms do.
-    half = a / 2.0
-    pref = -mu * mu * atom.omega_bd * half * half * half * half
-    vf, cross = [pref * (half * t) for t in t_h]
-    if not (math.isfinite(vf) and math.isfinite(cross)):
-        raise OverflowError("quadrature value out of double range")
-    vf_2h, cross_2h = [pref * (half * t) for t in t_2h]
+    # The scale -mu^2 omega_bd (a/2)^5 from mantissas and one power of two.
+    (mu_m, mu_e), (w_m, w_e) = math.frexp(mu), math.frexp(atom.omega_bd)
+    h_m, h_e = math.frexp(a / 2.0)
+    pref, shift = -mu_m * mu_m * w_m * h_m * h_m * h_m * h_m, 2 * mu_e + w_e + 5 * h_e
+    try:
+        vf, cross, vf_2h, cross_2h = [
+            math.ldexp(pref * (h_m * t), shift) for t in t_h + t_2h
+        ]
+    except OverflowError:
+        raise OverflowError("quadrature value out of double range") from None
     quadrature = {
         **grid,
         "error_estimate_vf": abs(vf - vf_2h),

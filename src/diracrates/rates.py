@@ -47,18 +47,14 @@ def rate_rows(atom: TwoLevelAtom, accels: Iterable[float], mu: float) -> Iterato
     w = atom.omega0
     mu_ok = math.isfinite(mu)
     excited = atom.omega_bd > 0
-    pref = (mu * mu / _RATE_DENOM) * CHANNEL_WEIGHT
-    try:
-        w6 = w**6
-    except OverflowError:  # a float power raises where a product gives inf
-        w6 = math.inf
-    pref_w6 = pref * w6
-    # Below the normal range w**6 loses its bits while f may be huge; there
-    # w^6 f is formed as w^6 + 5 (a w^2)^2 + 4 (a^2 w)^2 instead.
+    # mu^2 W w^6 f / 120 pi^3 from the mantissas of mu and w, scaled once by
+    # 2^shift: exact, so mu^2 or w^6 out of double range costs no rate bits.
+    (mu_m, mu_e), (w_m, w_e) = math.frexp(mu), math.frexp(w)
+    pref = (mu_m * mu_m / _RATE_DENOM) * CHANNEL_WEIGHT * w_m**6
+    shift = 2 * mu_e + 6 * w_e
     tiny = sys.float_info.min
-    tiny_w6 = w6 < tiny
     two_pi, two_pi_w = 2.0 * math.pi, 2.0 * math.pi * w
-    inf, expm1, exp = math.inf, math.expm1, math.exp
+    inf, expm1, exp, ldexp = math.inf, math.expm1, math.exp, math.ldexp
     for a in accels:
         if not (0 <= a < inf):
             raise ValueError(f"acceleration must be nonnegative and finite, got {a}")
@@ -81,11 +77,10 @@ def rate_rows(atom: TwoLevelAtom, accels: Iterable[float], mu: float) -> Iterato
                 raise OverflowError("thermal occupation out of double range")
         else:  # a = -0.0 gives +0.0 in the row, a / 2pi included
             a = n = 0.0
-        if tiny_w6 and f < inf:
-            aw2, a2w = a * w * w, a * a * w
-            base = pref * (w6 + 5.0 * aw2 * aw2 + 4.0 * a2w * a2w)
-        else:
-            base = pref_w6 * f
+        try:
+            base = ldexp(pref * f, shift)
+        except OverflowError:
+            raise OverflowError("rate out of double range") from None
         mag = base * (1.0 + 2.0 * n)
         # The downward transition (excited) drains energy, the upward one
         # feeds it.  0.0 - x rather than -x keeps a zero rate +0.0.  The

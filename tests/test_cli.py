@@ -103,6 +103,23 @@ class TestRate:
         assert out["rate_vf"] == out["rate_total"]
         assert float(out["rate_total"]) == pytest.approx(8.555e-65, rel=1e-4, abs=0)
 
+    def test_tiny_coupling_not_zero(self, capsys):
+        # mu^2 = 1e-320 is subnormal; the rates, ~1e-264, are normal floats.
+        code = run_cli(["rate", "--omega0", "1e10", "--accel", "1e10", "--coupling",
+                        "1e-160", "--state", "excited", "--format", "csv"])
+        assert code == 0
+        header, row = capsys.readouterr().out.splitlines()
+        out = dict(zip(header.split(","), row.split(",")))
+        assert out["rate_vf"] == "-6.744211580305743e-264"
+
+    def test_huge_omega0_tiny_coupling_finite(self, capsys):
+        # omega0^6 = 1e360 overflows; |cross| ~ 6.72e156 does not.
+        code = run_cli(["rate", "--omega0", "1e60", "--accel", "1e60",
+                        "--coupling", "1e-100", "--format", "json"])
+        assert code == 0
+        out = strict_json(capsys.readouterr().out)
+        assert out["rate_cross"] == pytest.approx(-6.719e156, rel=1e-4, abs=0)
+
     def test_json_version(self, capsys):
         run_cli(["rate", "--accel", "1", "--format", "json"])
         out = json.loads(capsys.readouterr().out)

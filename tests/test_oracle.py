@@ -206,6 +206,19 @@ class TestVerifyRates:
         assert rep.rel_err_cross < 1e-9
         assert set(rep.quadrature) == QUADRATURE_KEYS
 
+    @pytest.mark.parametrize("omega0, a, mu", [
+        (1e10, 1e10, 1e-160),
+        (1e60, 1e60, 1e-100),
+        (1e-51, 1e-40, 1e-3),
+        (1e-60, 1e-55, 1e150),
+    ])
+    @pytest.mark.parametrize("level", ["ground", "excited"])
+    def test_passes_where_factors_leave_double_range(self, omega0, a, mu, level):
+        # mu^2, omega0^6 or (a/2)^5 is out of double range, the rates are not.
+        rep = oracle.verify_rates(TwoLevelAtom(omega0, level), a, mu)
+        assert rep.passed
+        assert max(rep.rel_err_vf, rep.rel_err_cross) < 1e-14
+
     def test_tol_validation(self):
         for tol in (0.0, -1e-3, math.nan, math.inf):
             with pytest.raises(ValueError):

@@ -1,7 +1,9 @@
 """Closed-form rate formulas and their structural properties."""
 import decimal
 import math
+import random
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from diracrates import rates
-from diracrates.atom import TwoLevelAtom
+from diracrates.atom import CHANNEL_WEIGHT, TwoLevelAtom
 
 PI3 = math.pi**3
 
@@ -237,8 +239,9 @@ class TestRateTotal:
 
 
 class TestSmallOmega0:
-    # omega0^6 is subnormal or 0 below omega0 ~ 1.2e-51, while f is huge;
-    # their product, ~4 a^4 omega0^2, is a normal float.
+    # omega0^6 is subnormal or 0 below omega0 ~ 1.2e-51, while f is huge and
+    # the rate ~4 a^4 omega0^2 is a normal float: rate_rows forms it from
+    # omega0's mantissa and applies the exponent once.
     def test_rates_not_zero(self):
         omega0 = 1e-60
         rb = rates.rate_total(TwoLevelAtom(omega0, "ground"), 1.0, 1.0)
@@ -294,18 +297,97 @@ class TestRateRows:
            st.floats(min_value=1e-3, max_value=1e3),
            st.sampled_from(["ground", "excited"]))
     def test_inlined_factors_match(self, ratios, log_omega0, mu, level):
-        # The factors are bit for bit the test-local formulas; where
-        # omega0^6 is normal, the cross term is -(mu^2 W / 120 pi^3) w^6 f
-        # in that order, as before the small-omega0 form existed.
+        # The factors are bit for bit the test-local formulas, and the cross
+        # term is -(m_mu^2 / 120 pi^3) W m_w^6 f in that order, scaled by
+        # 2^(2 e_mu + 6 e_w), where mu = m_mu 2^e_mu and w = m_w 2^e_w.
         w = 10.0**log_omega0
+        (mu_m, mu_e), (w_m, w_e) = math.frexp(mu), math.frexp(w)
         grid = [w * r for r in ratios]
         for a, row in zip(grid, rates.rate_rows(TwoLevelAtom(w, level), grid, mu)):
             f, n = row[4], row[5]
             assert bits([f]) == bits([poly(w, a)])
             assert bits([n]) == bits([planck(w, a)])
-            if w**6 >= sys.float_info.min:
-                base = (mu * mu / (120.0 * PI3)) * 0.25 * w**6 * f
-                assert bits([row[2]]) == bits([0.0 - base])
+            base = math.ldexp(
+                (mu_m * mu_m / (120.0 * PI3)) * 0.25 * w_m**6 * f, 2 * mu_e + 6 * w_e
+            )
+            assert bits([row[2]]) == bits([0.0 - base])
+
+
+def exact_rates(omega0, a, mu, n, level):
+    """vf, cross and total in exact rational arithmetic from the floats
+    omega0, a, mu, pi and the row's own n: the magnitude
+    mu^2 W omega0^6 (1 + 5 r^2 + 4 r^4) / 120 pi^3, r = a / omega0, then
+    (1 + 2n), -1 and 2n, or -(1 + 2n), -1 and -2(1 + n) when excited."""
+    r2 = (Fraction(a) / Fraction(omega0)) ** 2
+    base = (Fraction(mu) ** 2 * Fraction(CHANNEL_WEIGHT) * Fraction(omega0) ** 6
+            * (1 + 5 * r2 + 4 * r2 * r2) / (120 * Fraction(math.pi) ** 3))
+    n = Fraction(n)
+    if level == "excited":
+        return -base * (1 + 2 * n), -base, -2 * base * (1 + n)
+    return base * (1 + 2 * n), -base, 2 * base * n
+
+
+def rel_errors(row, exact):
+    """|got - exact| / |exact| of vf, cross and total, exactly, then rounded."""
+    return [float(abs(Fraction(got) - want) / abs(want))
+            for got, want in zip(row[1:4], exact)]
+
+
+# (log10 omega0, log10 mu) ranges: around the benchmark's inputs, the
+# hypothesis tests' domain, and far out, where omega0^6 and mu^2 leave
+# double range while the rates need not.
+RANGE_DOMAINS = {
+    "benchmark": ((-1.0, 1.0), (-0.3, 0.3)),
+    "tests": ((-60.0, 40.0), (-3.0, 3.0)),
+    "wide": ((-100.0, 100.0), (-160.0, 160.0)),
+}
+
+# (omega0, a, mu) where the rates were 0, a false overflow, off by 3.1e-8
+# in cross, and 0, before the magnitude was scaled by one power of two.
+RANGE_REGRESSIONS = [
+    (1e10, 1e10, 1e-160),
+    (1e60, 1e60, 1e-100),
+    (1e-51, 1e-40, 1e-3),
+    (1e-60, 1e-55, 1e150),
+]
+
+
+class TestRangeRule:
+    @pytest.mark.parametrize("domain", RANGE_DOMAINS)
+    def test_matches_exact_arithmetic(self, domain):
+        # Wherever the exact rates are normal floats, rate_total gives each
+        # to a few roundings, with no OverflowError.
+        (w_lo, w_hi), (mu_lo, mu_hi) = RANGE_DOMAINS[domain]
+        rng = random.Random(f"range-rule:{domain}")
+        tiny, huge = sys.float_info.min, sys.float_info.max
+        checked, overflows, worst = 0, [], 0.0
+        for _ in range(1500):
+            omega0 = 10.0 ** rng.uniform(w_lo, w_hi)
+            mu = 10.0 ** rng.uniform(mu_lo, mu_hi)
+            a = omega0 * 10.0 ** rng.uniform(-2.0, 6.0)
+            for level in ("ground", "excited"):
+                n = planck(omega0, a)
+                exact = exact_rates(omega0, a, mu, n, level)
+                if not all(tiny <= abs(x) <= huge for x in exact):
+                    continue
+                checked += 1
+                try:
+                    row = rates.rate_total(TwoLevelAtom(omega0, level), a, mu)
+                except OverflowError:
+                    overflows.append((omega0, a, mu, level))
+                    continue
+                assert row.planck_n == n
+                worst = max(worst, *rel_errors(row, exact))
+        assert checked > 1000
+        assert overflows == []
+        assert worst <= 2e-15
+
+    @pytest.mark.parametrize("omega0, a, mu", RANGE_REGRESSIONS)
+    @pytest.mark.parametrize("level", ["ground", "excited"])
+    def test_regressions(self, omega0, a, mu, level):
+        row = rates.rate_total(TwoLevelAtom(omega0, level), a, mu)
+        exact = exact_rates(omega0, a, mu, row.planck_n, level)
+        assert max(rel_errors(row, exact)) <= 2e-15
 
 
 def balance(omega0, a):
