@@ -3,9 +3,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from typing import Literal
+from typing import Literal, get_args
 
 Level = Literal["ground", "excited"]
+LEVELS = get_args(Level)
 
 # |<b|R2(0)|d>|^2 for the single transition of a two-level atom;
 # R2 = i(R_- - R_+)/2 gives matrix element i/2, modulus squared 1/4.
@@ -28,8 +29,9 @@ class TwoLevelAtom:
     def __init__(self, omega0: float, level: Level = "ground") -> None:
         if not (0 < omega0 < math.inf):
             raise ValueError(f"omega0 must be positive and finite, got {omega0}")
-        if level not in ("ground", "excited"):
-            raise ValueError(f"level must be 'ground' or 'excited', got {level!r}")
+        if level not in LEVELS:
+            names = " or ".join(map(repr, LEVELS))
+            raise ValueError(f"level must be {names}, got {level!r}")
         object.__setattr__(self, "omega0", omega0)
         object.__setattr__(self, "level", level)
         object.__setattr__(self, "omega_bd", omega0 if level == "excited" else -omega0)

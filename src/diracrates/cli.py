@@ -17,7 +17,7 @@ from typing import Callable, Iterator
 # `oracle`: `rate` and `sweep` load neither. `json` is imported only where
 # JSON is written.
 from . import __version__, rates
-from .atom import TwoLevelAtom
+from .atom import LEVELS, TwoLevelAtom
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -29,14 +29,13 @@ EXIT_IDENTITY = 4
 # acceleration is given.
 DEFAULT_VERIFY_RATIOS = (0.1, 0.3, 1.0, 3.0, 10.0, 100.0)
 
-STATES = ("ground", "excited")
-# The commands whose parsers take --config (`common` in `build_parser`).
-CONFIG_COMMANDS = ("rate", "sweep", "verify")
-
 SWEEP_HEADER = "accel,rate_vf,rate_cross,rate_total,poly_factor,planck_n,T_eff"
 # From this many points on, a forked child computes and formats the upper
-# half of a sweep while this process does the lower half: a fork, a pipe
-# and a reap cost ~1.5 ms, a row ~7 us to compute and format.
+# half of a sweep (~4.6 us a row) while this process does the lower half.
+# Below 1e5 points that gained nothing measured: median ms of `sweep
+# --accel-max 3 --points N --output F`, split vs one pass (`taskset -c 0`),
+# 15 alternating runs, two sets, 2-vCPU x86-64 VM: N = 1e4 149-162 vs
+# 112-156, 2e4 149-237 vs 145-224, 5e4 290-357 vs 337-343, 1e5 452 vs 550-571.
 SPLIT_MIN_POINTS = 10_000
 # Every row is held in memory until the sweep is written.  At this many
 # (the oracle's node limit), a sweep to --output takes ~4.4 s, peaks at
@@ -85,9 +84,9 @@ def _with_config(argv: list[str], parser: argparse.ArgumentParser) -> list[str]:
     # A finder with the command's options finds --config first, resolving
     # abbreviations as the full parser would before it stops on a required
     # flag the file supplies. Only a command taking --config reads it, not with -h.
-    if not argv or argv[0] not in CONFIG_COMMANDS:
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None or "--config" not in command._option_string_actions:
         return argv
-    command = parser.commands[argv[0]]
     finder = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
     finder.error = command.error
     for option, action in command._option_string_actions.items():
@@ -282,7 +281,7 @@ def cmd_verify(args) -> int:
     omega0, coupling, tol = args.omega0, args.coupling, args.tol
     accels = ([r * omega0 for r in DEFAULT_VERIFY_RATIOS] if args.accel is None
               else [args.accel])
-    states = [args.state] if args.state else STATES
+    states = [args.state] if args.state else LEVELS
 
     entries = []
     for a in accels:
@@ -375,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--si-accel", type=_si_accel, dest="accel", metavar="SI_ACCEL",
         help="proper acceleration in m/s^2 (converted to 1/s)",
     )
-    p_rate.add_argument("--state", choices=STATES, default="ground")
+    p_rate.add_argument("--state", choices=LEVELS, default="ground")
     p_rate.set_defaults(func=cmd_rate)
 
     p_sweep = sub.add_parser("sweep", help="acceleration sweep to CSV")
@@ -384,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--accel-max", type=float, required=True)
     p_sweep.add_argument("--points", type=int, default=50)
     p_sweep.add_argument("--scale", choices=["linear", "log"], default="linear")
-    p_sweep.add_argument("--state", choices=STATES, default="ground")
+    p_sweep.add_argument("--state", choices=LEVELS, default="ground")
     p_sweep.add_argument("--output", help="CSV output path (default stdout)")
     p_sweep.set_defaults(func=cmd_sweep)
 
@@ -393,15 +392,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common(p_verify, ["human", "json"])
     p_verify.add_argument("--accel", type=float, help="single acceleration")
-    p_verify.add_argument("--state", choices=STATES)
+    p_verify.add_argument("--state", choices=LEVELS)
     p_verify.add_argument("--tol", type=float, default=1e-3, help="relative tolerance")
     p_verify.set_defaults(func=cmd_verify)
 
     p_check = sub.add_parser("selfcheck", help="run algebra identity suites")
     p_check.set_defaults(func=cmd_selfcheck)
 
-    parser.commands = {"rate": p_rate, "sweep": p_sweep, "verify": p_verify,
-                       "selfcheck": p_check}
+    parser.commands = sub.choices
     return parser
 
 

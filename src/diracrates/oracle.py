@@ -19,9 +19,10 @@ from typing import NamedTuple
 from . import correlators, rates
 from .atom import TwoLevelAtom, susceptibility_c, susceptibility_chi
 
-# The line is cut off at |u| = Y, where the envelope 64 e^{-6|u|} falls below
+# The line is cut off at |u| = _Y, where the envelope 64 e^{-6|u|} falls below
 # _TAIL for every s; the sums grow like 1/sin^5 s, so their tail only shrinks.
 _TAIL = 1e-17
+_Y = math.log(64.0 / _TAIL) / 6.0
 
 # h = s/10 resolves the pole and the oscillation (see _line_sums), so below
 # a/|omega| = pi/6 nodes grow like |omega|/a. Half are evaluated, one at a time;
@@ -72,10 +73,9 @@ def _line_sums(atom: TwoLevelAtom, a: float) -> tuple[list, list, dict]:
     h = 0.1 * s
     # For subnormal a, h underflows to 0 or the node count leaves float
     # range; a count with no float value is reported as null.
-    y = math.log(64.0 / _TAIL) / 6.0
-    half = y / (2.0 * h) if h > 0 else math.inf
+    half = _Y / (2.0 * h) if h > 0 else math.inf
     n = math.ceil(half) if half < math.inf else None
-    grid = {"s": s, "h": h, "nodes": None if n is None else 4 * n + 1, "Y": y}
+    grid = {"s": s, "h": h, "nodes": None if n is None else 4 * n + 1, "Y": _Y}
     if n is None or grid["nodes"] > _MAX_NODES:
         nodes = grid["nodes"]  # printed to 3 digits; it may have hundreds
         count = "over 1e308" if nodes is None or nodes > 1e308 else f"{nodes:.3g}"
@@ -115,11 +115,9 @@ def verify_rates(
     """
     if not (0 < a < math.inf):
         raise ValueError(f"acceleration must be positive and finite, got {a}")
-    if not math.isfinite(mu):
-        raise ValueError(f"coupling must be finite, got {mu}")
     if not (0 < tol < math.inf):
         raise ValueError(f"tol must be positive and finite, got {tol}")
-    closed = rates.rate_total(atom, a, mu)
+    closed = rates.rate_total(atom, a, mu)  # checks the coupling
     # A subnormal closed rate carries too few bits for a relative check.
     if min(abs(closed.vf), abs(closed.cross)) < sys.float_info.min:
         raise ValueError(

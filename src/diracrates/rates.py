@@ -86,7 +86,15 @@ def rate_rows(atom: TwoLevelAtom, accels: Iterable[float], mu: float) -> Iterato
         # feeds it.  0.0 - x rather than -x keeps a zero rate +0.0.  The
         # total is not vf + cross, which cancels to rounding for the ground
         # level at small n.
-        if excited:
+        if base < tiny and n >= tiny:
+            # base is subnormal or 0, and has lost bits that vf and the
+            # total, about 2n times larger, may keep: scale each one's own
+            # factor 1 + 2n, 2(1 + n) or 2n as base is scaled.
+            vf, total = [ldexp(pref * f * m, shift + e) for m, e in map(
+                math.frexp, (1.0 + 2.0 * n, 2.0 * (1.0 + n) if excited else 2.0 * n))]
+            if excited:
+                vf, total = 0.0 - vf, 0.0 - total
+        elif excited:
             vf, total = 0.0 - mag, 0.0 - 2.0 * base * (1.0 + n)
         elif n < tiny and a > 0:
             # n is subnormal or 0 and has lost its bits, while base e^{-x}

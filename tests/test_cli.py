@@ -1,5 +1,4 @@
 """Command-line surface: formats, exit codes, determinism, config files."""
-import argparse
 import ast
 import contextlib
 import hashlib
@@ -20,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import diracrates
-from diracrates import cli, rates
+from diracrates import cli, oracle, rates
 from diracrates.atom import TwoLevelAtom
 
 
@@ -675,6 +674,19 @@ class TestVerify:
             for e in report["entries"]
         )
 
+    def test_quadrature_overflow_exit_2(self, monkeypatch, capsys):
+        # Sums that overflow once scaled by -mu^2 omega_bd (a/2)^5 = -500^5.
+        grid = {"s": 1.0, "h": 0.1, "nodes": 1, "Y": 1.0}
+        monkeypatch.setattr(oracle, "_line_sums",
+                            lambda atom, a: ([1e308] * 2, [1e308] * 2, grid))
+        assert main_exit(["verify", "--accel", "1e3", "--format", "json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: result out of double range "
+            "(quadrature value out of double range)\n"
+        )
+
     def test_reach(self, capsys):
         # 481,145 nodes at a/omega0 = 1e-4; the node limit lies at ~4.81e-5.
         code = run_cli(
@@ -801,6 +813,16 @@ class TestConfigFile:
         out = json.loads(capsys.readouterr().out)
         assert out["omega0"] == 3.0
         assert out["accel"] == 1.0
+
+    def test_blank_lines_and_comments_skipped(self, tmp_path, capsys):
+        cfg = tmp_path / "recipe.cfg"
+        cfg.write_text("# a recipe\n\nomega0 = 2\n   \n  # accel = 9\n"
+                       "\taccel = 1  \n\n  state = excited\n# end\n")
+        assert run_cli(["rate", "--config", str(cfg), "--format", "csv"]) == 0
+        from_config = capsys.readouterr().out
+        run_cli(["rate", "--omega0", "2", "--accel", "1", "--state", "excited",
+                 "--format", "csv"])
+        assert from_config == capsys.readouterr().out
 
     def test_sweep_config(self, tmp_path, capsys):
         # --accel-max is required; the file may supply it.
@@ -1041,6 +1063,9 @@ def test_readme_error_shapes(argv, code, usage, tmp_path, monkeypatch, capsys):
          "error: points must be at most 1000000, got 1000001\n"),
         (["sweep", "--accel-max", "1", "--points", "100000000000000000000"],
          "error: points must be at most 1000000, got 100000000000000000000\n"),
+        # rate_total checks the coupling, after verify_rates checks tol.
+        (["verify", "--coupling", "nan", "--tol", "inf"],
+         "error: tol must be positive and finite, got inf\n"),
     ],
 )
 def test_error_precedence(argv, message, capsys):
@@ -1143,17 +1168,7 @@ def readme_flag_table():
     return flags
 
 
-def test_config_commands_are_those_taking_config():
-    taking = {command for command, flags in readme_flag_table().items()
-              if "--config" in flags}
-    assert set(cli.CONFIG_COMMANDS) == taking
-
-
 def test_readme_flag_table_matches_parser():
-    (subparsers,) = [
-        action for action in cli.build_parser()._actions
-        if isinstance(action, argparse._SubParsersAction)
-    ]
     parsed = {
         command: {
             option
@@ -1161,7 +1176,7 @@ def test_readme_flag_table_matches_parser():
             for option in action.option_strings
             if option.startswith("--") and option != "--help"
         }
-        for command, parser in subparsers.choices.items()
+        for command, parser in cli.build_parser().commands.items()
     }
     assert readme_flag_table() == parsed
     assert parsed["selfcheck"] == set()

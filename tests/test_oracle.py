@@ -230,6 +230,15 @@ class TestVerifyRates:
         with pytest.raises(ValueError):
             oracle.verify_rates(TwoLevelAtom(1.0, "ground"), a, mu)
 
+    def test_quadrature_overflow(self, monkeypatch):
+        # Sums that overflow once scaled by -mu^2 omega_bd (a/2)^5 = -500^5.
+        grid = {"s": 1.0, "h": 0.1, "nodes": 1, "Y": 1.0}
+        monkeypatch.setattr(oracle, "_line_sums",
+                            lambda atom, a: ([1e308] * 2, [1e308] * 2, grid))
+        with pytest.raises(OverflowError) as err:
+            oracle.verify_rates(TwoLevelAtom(1.0, "ground"), 1e3, 1.0)
+        assert str(err.value) == "quadrature value out of double range"
+
     def test_unreachable_tolerance_raises(self):
         # At a/omega = 10 the 2h sum is off by ~1e-8; no tolerance below
         # that can be met.

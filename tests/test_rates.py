@@ -327,10 +327,11 @@ def exact_rates(omega0, a, mu, n, level):
     return base * (1 + 2 * n), -base, 2 * base * n
 
 
-def rel_errors(row, exact):
-    """|got - exact| / |exact| of vf, cross and total, exactly, then rounded."""
+def rel_errors(row, exact, tiny=0.0):
+    """|got - exact| / |exact| of vf, cross and total, exactly, then
+    rounded; only of those whose |exact| is at least `tiny`."""
     return [float(abs(Fraction(got) - want) / abs(want))
-            for got, want in zip(row[1:4], exact)]
+            for got, want in zip(row[1:4], exact) if abs(want) >= tiny]
 
 
 # (log10 omega0, log10 mu) ranges: around the benchmark's inputs, the
@@ -352,11 +353,21 @@ RANGE_REGRESSIONS = [
 ]
 
 
+# (omega0, a, mu) where cross is subnormal or 0 and vf and the total were
+# off by 3.3e-5, 4.6e-11 and 1 (printed 0) before each was scaled by its
+# own factor's exponent.
+SUBNORMAL_CROSS = [
+    (1.0, 1e15, 1e-188),
+    (1.0, 1e15, 1e-185),
+    (1.0, 1e20, 1e-201),
+]
+
+
 class TestRangeRule:
     @pytest.mark.parametrize("domain", RANGE_DOMAINS)
     def test_matches_exact_arithmetic(self, domain):
-        # Wherever the exact rates are normal floats, rate_total gives each
-        # to a few roundings, with no OverflowError.
+        # Wherever no exact rate overflows, rate_total gives each that is a
+        # normal float to a few roundings, with no OverflowError.
         (w_lo, w_hi), (mu_lo, mu_hi) = RANGE_DOMAINS[domain]
         rng = random.Random(f"range-rule:{domain}")
         tiny, huge = sys.float_info.min, sys.float_info.max
@@ -368,16 +379,16 @@ class TestRangeRule:
             for level in ("ground", "excited"):
                 n = planck(omega0, a)
                 exact = exact_rates(omega0, a, mu, n, level)
-                if not all(tiny <= abs(x) <= huge for x in exact):
+                if not all(abs(x) <= huge for x in exact):
                     continue
-                checked += 1
+                checked += all(tiny <= abs(x) for x in exact)
                 try:
                     row = rates.rate_total(TwoLevelAtom(omega0, level), a, mu)
                 except OverflowError:
                     overflows.append((omega0, a, mu, level))
                     continue
                 assert row.planck_n == n
-                worst = max(worst, *rel_errors(row, exact))
+                worst = max([worst, *rel_errors(row, exact, tiny)])
         assert checked > 1000
         assert overflows == []
         assert worst <= 2e-15
@@ -388,6 +399,18 @@ class TestRangeRule:
         row = rates.rate_total(TwoLevelAtom(omega0, level), a, mu)
         exact = exact_rates(omega0, a, mu, row.planck_n, level)
         assert max(rel_errors(row, exact)) <= 2e-15
+
+    @pytest.mark.parametrize("omega0, a, mu", SUBNORMAL_CROSS)
+    @pytest.mark.parametrize("level", ["ground", "excited"])
+    def test_subnormal_cross(self, omega0, a, mu, level):
+        # cross is subnormal or 0 and has lost bits; vf and the total, which
+        # are normal, have not.
+        tiny = sys.float_info.min
+        row = rates.rate_total(TwoLevelAtom(omega0, level), a, mu)
+        exact = exact_rates(omega0, a, mu, row.planck_n, level)
+        assert abs(row.cross) < tiny and abs(exact[1]) < tiny
+        errors = rel_errors(row, exact, tiny)  # of vf and the total
+        assert len(errors) == 2 and max(errors) <= 2e-15
 
 
 def balance(omega0, a):
