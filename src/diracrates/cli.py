@@ -108,6 +108,8 @@ def _with_config(argv: list[str], parser: argparse.ArgumentParser) -> list[str]:
         if not sep:
             raise ValueError(f"bad config line: {line!r}")
         flags.append(f"--{key.strip().replace('_', '-')}={value.strip()}")
+    if "config" in vars(finder.parse_known_args(flags)[0]):
+        raise ValueError(f"{path}: a config file cannot name another config file")
     return argv[:1] + flags + argv[1:]
 
 

@@ -2,22 +2,20 @@
 
 The massless two-point machinery: the regularized interval z, the
 z-derivative of the scalar Wightman function 1/(4 pi^2 z^2), the
-transported two-point matrix g, the two-point trace combination, and the
-symmetric/antisymmetric statistical functions of the field in closed
-form.  The scalar functions run on `cmath` and take one dtau or z each;
-only the matrix function imports `clifford`, inside the function, and
-returns its 4x4 tuple matrix.
+transported two-point matrix g, and the two-point trace
+-a^6 / (64 pi^4 sinh^6(a dtau/2 - i epsilon)).  For real dtau the trace's
+real part is the field's symmetric statistical function C^F and i times
+its imaginary part the antisymmetric one, chi^F.  The scalar functions
+run on `cmath` and take one dtau or z each; only the matrix function
+imports `clifford`, inside the function, and returns its 4x4 tuple matrix.
 """
 from __future__ import annotations
 
 import cmath
 import math
-from typing import Literal, NamedTuple
-
-Branch = Literal["minus", "plus"]
+from typing import NamedTuple
 
 _PI2 = math.pi**2
-_PI4 = math.pi**4
 
 
 class SingularIntervalError(ArithmeticError):
@@ -28,14 +26,14 @@ class WorldlineParams(NamedTuple("_Worldline", [("accel", float), ("epsilon", fl
     """Proper acceleration and the regulator of the interval function.
 
     epsilon is the dimensionless shift inside the sinh argument,
-    sinh(a dtau/2 -+ i epsilon).  As a contour shift it may be anything in
-    (0, pi), short of the next pole at -+i pi: an integral over real dtau
-    then equals its -+i0 limit.
+    sinh(a dtau/2 - i epsilon).  As a contour shift it may be anything in
+    (0, pi), short of the next pole at -i pi: an integral over real dtau
+    then equals its -i0 limit.
     """
 
     __slots__ = ()
 
-    def __new__(cls, accel: float, epsilon: float = 1e-4):
+    def __new__(cls, accel: float, epsilon: float):
         if not 0 < accel < math.inf:
             raise ValueError(f"accel must be positive and finite, got {accel}")
         if not 0 < epsilon < math.pi:
@@ -43,19 +41,12 @@ class WorldlineParams(NamedTuple("_Worldline", [("accel", float), ("epsilon", fl
         return super().__new__(cls, accel, epsilon)
 
 
-class StatFunctionPair(NamedTuple):
-    """Symmetric (c_f) and antisymmetric (chi_f) field statistical functions."""
-
-    c_f: complex
-    chi_f: complex
-
-
-def interval_z(dtau: float, params: WorldlineParams, branch: Branch = "minus") -> complex:
-    """Regularized interval i (2/a) sinh(a dtau/2 -+ i epsilon)."""
+def interval_z(dtau: float, params: WorldlineParams) -> complex:
+    """Regularized interval i (2/a) sinh(a dtau/2 - i epsilon)."""
     # cmath.isfinite takes float, numpy.float64 and complex alike.
     if not cmath.isfinite(dtau):
         raise ValueError(f"dtau must be finite, got {dtau}")
-    shift = -1j * params.epsilon if branch == "minus" else 1j * params.epsilon
+    shift = -1j * params.epsilon
     a = params.accel
     return 1j * (2.0 / a) * cmath.sinh(0.5 * a * dtau + shift)
 
@@ -75,9 +66,8 @@ def g_matrix_from_worldline(tau: float, tau_p: float, params: WorldlineParams):
     conjugates with the transport matrices.  The regulator enters as a
     complex shift of the earlier proper time, which reduces exactly to
     the sinh(a dtau/2 - i epsilon) prescription.  Only the gamma^0
-    component survives at zero mass: g = -gamma^0 dG/dz at
-    z(tau - tau_p) on the minus branch, with dG/dz = dwightman_dz(z), for
-    any common shift of both times.
+    component survives at zero mass: g = -gamma^0 dG/dz at z(tau - tau_p),
+    with dG/dz = dwightman_dz(z), for any common shift of both times.
     """
     from .clifford import _GAMMA, boost_matrix, combine, matmul
 
@@ -102,22 +92,10 @@ def g_matrix_from_worldline(tau: float, tau_p: float, params: WorldlineParams):
     return matmul(matmul(boost_matrix(a, -tau), two_point), boost_matrix(a, tau_p_c))
 
 
-def trace_pair(dtau: float, params: WorldlineParams, branch: Branch = "minus") -> complex:
+def trace_pair(dtau: float, params: WorldlineParams) -> complex:
     """Trace of the two-point matrix pair: 4 (dG/dz)^2 at z(dtau).
 
-    Analytically -a^6 / (64 pi^4 sinh^6(a dtau/2 -+ i epsilon)).
+    Analytically -a^6 / (64 pi^4 sinh^6(a dtau/2 - i epsilon)).
     """
-    d = dwightman_dz(interval_z(dtau, params, branch))
+    d = dwightman_dz(interval_z(dtau, params))
     return 4.0 * d * d
-
-
-def stat_functions_closed(dtau: float, params: WorldlineParams) -> StatFunctionPair:
-    """Closed-form symmetric and antisymmetric statistical functions."""
-    if not cmath.isfinite(dtau):
-        raise ValueError(f"dtau must be finite, got {dtau}")
-    a = params.accel
-    x = 0.5 * a * dtau
-    pref = -(a**6) / (128.0 * _PI4)
-    sm = cmath.sinh(x - 1j * params.epsilon) ** -6
-    sp = cmath.sinh(x + 1j * params.epsilon) ** -6
-    return StatFunctionPair(c_f=pref * (sm + sp), chi_f=pref * (sm - sp))

@@ -104,7 +104,7 @@ def _line_sums(atom: TwoLevelAtom, a: float) -> tuple[list, list, dict]:
 
 
 def verify_rates(
-    atom: TwoLevelAtom, a: float, mu: float, *, tol: float = 1e-3
+    atom: TwoLevelAtom, a: float, mu: float, *, tol: float
 ) -> OracleReport:
     """Compare quadrature and closed-form vf/cross rates for one atom.
 

@@ -598,6 +598,15 @@ class TestSweepSplit:
                 os.kill(child, signal.SIGKILL)
 
 
+@pytest.mark.parametrize("count, usable", [(3, 3), (None, 1)])
+def test_usable_cpus_without_affinity(count, usable, monkeypatch):
+    # Where os.sched_getaffinity is missing, as on macOS and Windows, the
+    # count is os.cpu_count(), or 1 where that is unknown.
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: count)
+    assert cli._usable_cpus() == usable
+
+
 class TestVerify:
     def test_single_point_pass(self, capsys):
         code = run_cli(
@@ -898,6 +907,34 @@ class TestConfigFile:
             run_cli(["rate", "--config", str(cfg)])
         assert err.value.code == 2
         assert capsys.readouterr().err == "error: bad config line: 'justtext'\n"
+
+    @pytest.mark.parametrize("line", ["config = inner.cfg", "conf = inner.cfg"])
+    def test_config_cannot_name_config(self, line, tmp_path, capsys):
+        # Refused, not ignored: the inner file is neither read nor needed.
+        cfg = tmp_path / "recipe.cfg"
+        cfg.write_text(f"omega0 = 2\n{line}\n")
+        with pytest.raises(SystemExit) as err:
+            run_cli(["rate", "--config", str(cfg)])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {cfg}: a config file cannot name another config file\n"
+        )
+
+    def test_ambiguous_config_key(self, tmp_path, capsys):
+        # co could be coupling or config: argparse's usage error, as for --co.
+        cfg = tmp_path / "recipe.cfg"
+        cfg.write_text("co = 1\n")
+        with pytest.raises(SystemExit) as err:
+            run_cli(["rate", "--config", str(cfg)])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: diracrates rate")
+        last = captured.err.splitlines()[-1]
+        assert last.startswith("diracrates rate: error: ambiguous option: --co")
+        assert "--coupling" in last and "--config" in last
 
     def test_non_utf8_config_exit_1(self, tmp_path, capsys):
         cfg = tmp_path / "recipe.cfg"

@@ -1,4 +1,4 @@
-"""Worldline geometry, Wightman functions, and statistical functions."""
+"""Worldline geometry, Wightman functions, and the two-point trace."""
 import cmath
 import math
 
@@ -15,12 +15,12 @@ PI4 = math.pi**4
 class TestWorldlineParams:
     def test_validation(self):
         with pytest.raises(ValueError):
-            WorldlineParams(accel=0.0)
+            WorldlineParams(accel=0.0, epsilon=1e-4)
         for accel in (math.nan, math.inf):
             with pytest.raises(
                 ValueError, match=rf"^accel must be positive and finite, got {accel}$"
             ):
-                WorldlineParams(accel)
+                WorldlineParams(accel, 1e-4)
         # epsilon is a contour shift, valid short of the next pole at pi.
         for eps in (0.2, 3.0):
             assert WorldlineParams(accel=1.0, epsilon=eps).epsilon == eps
@@ -28,38 +28,34 @@ class TestWorldlineParams:
             with pytest.raises(ValueError):
                 WorldlineParams(accel=1.0, epsilon=eps)
 
+    def test_epsilon_required(self):
+        with pytest.raises(TypeError, match="epsilon"):
+            WorldlineParams(accel=1.0)
+
 
 class TestIntervalZ:
     def test_zero_dtau(self):
         p = WorldlineParams(accel=1.0, epsilon=0.01)
-        z = co.interval_z(0.0, p, "minus")
+        z = co.interval_z(0.0, p)
         assert z == pytest.approx(2 * math.sin(0.01), abs=1e-15)
         assert abs(z.imag) < 1e-15
 
     def test_reflection_conjugates(self):
-        # sinh oddness: z(-dtau) on the minus branch is the conjugate of
-        # z(dtau) on the same branch.
+        # sinh oddness: z(-dtau) is the conjugate of z(dtau).
         p = WorldlineParams(accel=1.0, epsilon=1e-3)
-        z1 = co.interval_z(0.5, p, "minus")
-        z2 = co.interval_z(-0.5, p, "minus")
+        z1 = co.interval_z(0.5, p)
+        z2 = co.interval_z(-0.5, p)
         assert z2 == pytest.approx(z1.conjugate(), rel=1e-14)
 
     def test_vanishing_regulator_limit(self):
         p = WorldlineParams(accel=1.0, epsilon=1e-12)
-        z = co.interval_z(2 * math.pi, p, "minus")
+        z = co.interval_z(2 * math.pi, p)
         assert z == pytest.approx(2j * math.sinh(math.pi), rel=1e-9)
-
-    def test_branches_conjugate(self):
-        p = WorldlineParams(accel=1.5, epsilon=1e-3)
-        zm = co.interval_z(0.7, p, "minus")
-        zp = co.interval_z(0.7, p, "plus")
-        assert zp == pytest.approx(-zm.conjugate(), rel=1e-14)
 
     def test_returns_complex(self):
         p = WorldlineParams(accel=1.5, epsilon=0.4)
-        for branch in ("minus", "plus"):
-            for dtau in (0.0, -8.0, np.float64(3.5)):
-                assert type(co.interval_z(dtau, p, branch)) is complex
+        for dtau in (0.0, -8.0, np.float64(3.5)):
+            assert type(co.interval_z(dtau, p)) is complex
 
 
 class TestWightmanDerivative:
@@ -103,7 +99,7 @@ class TestGMatrix:
 
         p = WorldlineParams(accel=1.0, epsilon=1e-4)
         g = np.array(co.g_matrix_from_worldline(1.0, 0.0, p))
-        d = co.dwightman_dz(co.interval_z(1.0, p, "minus"))
+        d = co.dwightman_dz(co.interval_z(1.0, p))
         assert np.trace(np.array(clifford.gamma_matrix(0)) @ g) == pytest.approx(
             -4 * d, rel=1e-13
         )
@@ -114,8 +110,8 @@ class TestGMatrix:
         p = WorldlineParams(accel=1.0, epsilon=1e-4)
         g_shifted = np.array(co.g_matrix_from_worldline(3.0, 2.0, p))
         g_base = np.array(co.g_matrix_from_worldline(1.0, 0.0, p))
-        # -gamma^0 dG/dz, G = 1/(4 pi^2 z^2), at z(1.0) on the minus branch
-        z = co.interval_z(1.0, p, "minus")
+        # -gamma^0 dG/dz, G = 1/(4 pi^2 z^2), at z(1.0)
+        z = co.interval_z(1.0, p)
         dg_dz = -1 / (2 * PI2 * z**3)
         g_closed = -dg_dz * np.array(clifford.gamma_matrix(0))
         scale = np.max(np.abs(g_closed))
@@ -126,7 +122,7 @@ class TestGMatrix:
 class TestTracePair:
     def test_closed_form(self):
         p = WorldlineParams(accel=1.5, epsilon=1e-4)
-        got = co.trace_pair(0.8, p, "minus")
+        got = co.trace_pair(0.8, p)
         expected = -(1.5**6) / (
             64 * PI4 * cmath.sinh(0.75 * 0.8 - 1e-4j) ** 6
         )
@@ -134,78 +130,74 @@ class TestTracePair:
 
     def test_returns_complex(self):
         p = WorldlineParams(accel=0.7, epsilon=2.0)
-        for branch in ("minus", "plus"):
-            for dtau in (0.0, -30.0, np.float64(12.5)):
-                assert type(co.trace_pair(dtau, p, branch)) is complex
-
-    def test_branch_swap_conjugates(self):
-        p = WorldlineParams(accel=1.0, epsilon=1e-3)
-        assert co.trace_pair(0.6, p, "plus") == pytest.approx(
-            co.trace_pair(0.6, p, "minus").conjugate(), rel=1e-14
-        )
+        for dtau in (0.0, -30.0, np.float64(12.5)):
+            assert type(co.trace_pair(dtau, p)) is complex
 
     def test_asymptotic_decay(self):
         a = 1.0
         p = WorldlineParams(accel=a, epsilon=1e-4)
         dtau = 20.0 / a
-        ratio = abs(co.trace_pair(dtau, p, "minus")) / (
+        ratio = abs(co.trace_pair(dtau, p)) / (
             a**6 / PI4 * math.exp(-3 * a * dtau)
         )
         assert ratio == pytest.approx(1.0, rel=0.01)
 
 
 class TestStatFunctions:
+    """For real dtau the trace's real part is the symmetric statistical
+    function C^F and i times its imaginary part the antisymmetric one, chi^F."""
+
     def test_parity(self):
         p = WorldlineParams(accel=1.0, epsilon=1e-3)
-        fwd = co.stat_functions_closed(0.6, p)
-        bwd = co.stat_functions_closed(-0.6, p)
-        assert fwd.c_f == pytest.approx(bwd.c_f, rel=1e-13)
-        assert fwd.chi_f == pytest.approx(-bwd.chi_f, rel=1e-13)
+        fwd = co.trace_pair(0.6, p)
+        bwd = co.trace_pair(-0.6, p)
+        assert fwd.real == pytest.approx(bwd.real, rel=1e-13)
+        assert fwd.imag == pytest.approx(-bwd.imag, rel=1e-13)
 
     def test_small_regulator_limit(self):
         p = WorldlineParams(accel=1.0, epsilon=1e-9)
-        pair = co.stat_functions_closed(math.pi, p)
+        c_f = co.trace_pair(math.pi, p).real
         expected = -1 / (64 * PI4) * math.sinh(math.pi / 2) ** -6
-        assert pair.c_f.real == pytest.approx(expected, rel=1e-6)
+        assert c_f == pytest.approx(expected, rel=1e-6)
 
     def test_trace_route_equivalence(self):
         for a in (0.5, 1.0, 2.0):
             for eps in (1e-3, 1e-4):
                 p = WorldlineParams(accel=a, epsilon=eps)
                 for dtau in np.linspace(0.05 / a, 20.0 / a, 25):
-                    pair = co.stat_functions_closed(dtau, p)
-                    tm = co.trace_pair(dtau, p, "minus")
-                    tp = co.trace_pair(dtau, p, "plus")
-                    scale = max(abs(pair.c_f), abs(pair.chi_f))
-                    assert abs(0.5 * (tm + tp) - pair.c_f) / scale < 1e-10
-                    assert abs(0.5 * (tm - tp) - pair.chi_f) / scale < 1e-10
+                    closed = -(a**6) / (
+                        64 * PI4 * cmath.sinh(0.5 * a * dtau - 1j * eps) ** 6
+                    )
+                    tp = co.trace_pair(dtau, p)
+                    scale = max(abs(closed.real), abs(closed.imag))
+                    assert abs(tp.real - closed.real) / scale < 1e-10
+                    assert abs(tp.imag - closed.imag) / scale < 1e-10
 
     def test_symmetry_classes_shrink_with_regulator(self):
+        # Off the light cone the massless field's commutator vanishes:
+        # chi^F at dtau != 0 is O(epsilon), and halves with it.
         dtau = 0.9
-        prev_imag, prev_real = None, None
+        prev = None
         for eps in (4e-3, 2e-3, 1e-3):
-            p = WorldlineParams(accel=1.0, epsilon=eps)
-            pair = co.stat_functions_closed(dtau, p)
-            floor = 1e-13 * abs(pair.c_f)
-            if prev_imag is not None:
-                assert abs(pair.c_f.imag) <= max(0.55 * prev_imag, floor)
-                assert abs(pair.chi_f.real) <= max(0.55 * prev_real, floor)
-            prev_imag = abs(pair.c_f.imag)
-            prev_real = abs(pair.chi_f.real)
+            chi_f = co.trace_pair(dtau, WorldlineParams(accel=1.0, epsilon=eps)).imag
+            if prev is not None:
+                assert abs(chi_f) <= 0.55 * abs(prev)
+            prev = chi_f
 
     def test_exponential_envelope(self):
         for a in (0.7, 1.0, 2.0):
             p = WorldlineParams(accel=a, epsilon=1e-4)
             for adt in np.linspace(5.0, 12.0, 8):
-                c = abs(co.stat_functions_closed(adt / a, p).c_f)
+                c = abs(co.trace_pair(adt / a, p).real)
                 fitted = c * math.exp(3 * adt)
                 assert fitted == pytest.approx(a**6 / PI4, rel=0.05)
 
     def test_returns_complex(self):
         p = WorldlineParams(accel=0.7, epsilon=2.0)
         for dtau in (0.0, -30.0, np.float64(12.5)):
-            pair = co.stat_functions_closed(dtau, p)
-            assert type(pair.c_f) is complex and type(pair.chi_f) is complex
+            tp = co.trace_pair(dtau, p)
+            c_f, chi_f = tp.real, 1j * tp.imag
+            assert type(c_f) is float and type(chi_f) is complex
 
 
 NON_FINITE = [math.nan, math.inf, -math.inf, complex(1.0, math.nan),
@@ -216,21 +208,15 @@ class TestNonFiniteTime:
     """A nan or infinite time is refused with its name, not turned into nan."""
 
     @pytest.mark.parametrize("dtau", NON_FINITE)
-    @pytest.mark.parametrize("branch", ["minus", "plus"])
-    def test_interval_and_trace(self, dtau, branch):
-        p = WorldlineParams(1.0)
+    def test_interval_and_trace(self, dtau):
+        p = WorldlineParams(1.0, 1e-4)
         for f in (co.interval_z, co.trace_pair):
             with pytest.raises(ValueError, match=r"^dtau must be finite, got "):
-                f(dtau, p, branch)
-
-    @pytest.mark.parametrize("dtau", NON_FINITE)
-    def test_stat_functions(self, dtau):
-        with pytest.raises(ValueError, match=r"^dtau must be finite, got "):
-            co.stat_functions_closed(dtau, WorldlineParams(1.0))
+                f(dtau, p)
 
     @pytest.mark.parametrize("t", NON_FINITE)
     def test_g_matrix_from_worldline(self, t):
-        p = WorldlineParams(1.0)
+        p = WorldlineParams(1.0, 1e-4)
         with pytest.raises(ValueError, match=r"^tau must be finite, got "):
             co.g_matrix_from_worldline(t, 0.0, p)
         with pytest.raises(ValueError, match=r"^tau_p must be finite, got "):
@@ -243,4 +229,4 @@ class TestNonFiniteTime:
         # The oracle's lines and the regulated matrix route pass complex times.
         p = WorldlineParams(1.0, 0.3)
         assert cmath.isfinite(co.trace_pair(complex(0.4, -0.2), p))
-        assert cmath.isfinite(co.interval_z(complex(0.4, -0.2), p, "plus"))
+        assert cmath.isfinite(co.interval_z(complex(0.4, -0.2), p))

@@ -27,8 +27,21 @@ class TestShiftedLine:
     def test_difference_without_cancellation(self):
         # At a >> omega the two integrals agree to ~log10(a/omega) digits;
         # the difference must still match the closed form.
-        rep = oracle.verify_rates(TwoLevelAtom(1.0, "ground"), 1e48, 1.0)
+        rep = oracle.verify_rates(TwoLevelAtom(1.0, "ground"), 1e48, 1.0, tol=1e-3)
         assert rep.rel_err_cross < 1e-12
+
+    @pytest.mark.parametrize("omega0", [0.37, 1.0, 8.0])
+    def test_levels_mirror(self, omega0):
+        # The levels differ only in the sign of omega_bd: the same grid, the
+        # same vf sums, and cross sums of the opposite sign, bit for bit.
+        for ratio in (1e-3, 1e-2, 0.1, 1.0, 10.0, 1e3, 1e6):
+            a = ratio * omega0
+            g_h, g_2h, g_grid = oracle._line_sums(TwoLevelAtom(omega0, "ground"), a)
+            e_h, e_2h, e_grid = oracle._line_sums(TwoLevelAtom(omega0, "excited"), a)
+            assert g_grid == e_grid
+            for (g_vf, g_cross), (e_vf, e_cross) in ((g_h, e_h), (g_2h, e_2h)):
+                assert g_vf == e_vf
+                assert g_cross == -e_cross
 
     def test_node_limit(self):
         with pytest.raises(ConvergenceError) as err:
@@ -40,7 +53,7 @@ class TestShiftedLine:
         # One line: the count to 3 significant digits, not its 305 digits at
         # 1e-300; the diagnostics keep the exact integer.
         with pytest.raises(ConvergenceError) as err:
-            oracle.verify_rates(TwoLevelAtom(1.0, "ground"), a, 1.0)
+            oracle.verify_rates(TwoLevelAtom(1.0, "ground"), a, 1.0, tol=1e-3)
         assert str(err.value) == (
             f"quadrature needs {count} nodes, above the limit 1000000"
         )
@@ -52,7 +65,7 @@ class TestShiftedLine:
         # h underflows to 0 (5e-324) or Y/2h overflows (1e-320): the count
         # has no float value and is reported as None.
         with pytest.raises(ConvergenceError, match="above the limit") as err:
-            oracle.verify_rates(TwoLevelAtom(1.0, "ground"), a, 1.0)
+            oracle.verify_rates(TwoLevelAtom(1.0, "ground"), a, 1.0, tol=1e-3)
         assert err.value.diagnostics["nodes"] is None
         assert set(err.value.diagnostics) == {"s", "h", "nodes", "Y"}
 
@@ -136,15 +149,17 @@ class TestCutOff:
 
 class TestVfIntegral:
     def test_matches_closed_form(self):
-        got = oracle.verify_rates(TwoLevelAtom(1.0, "excited"), 1.0, 1.0).numeric_vf
-        expected = rates.rate_total(TwoLevelAtom(1.0, "excited"), 1.0, 1.0).vf
+        atom = TwoLevelAtom(1.0, "excited")
+        got = oracle.verify_rates(atom, 1.0, 1.0, tol=1e-3).numeric_vf
+        expected = rates.rate_total(atom, 1.0, 1.0).vf
         assert got == pytest.approx(expected, rel=1e-9, abs=0)
 
     def test_ratio_across_parameters(self):
-        num_ratio = (
-            oracle.verify_rates(TwoLevelAtom(1.0, "excited"), 1.0, 1.0).numeric_vf
-            / oracle.verify_rates(TwoLevelAtom(2.0, "excited"), 1.0, 1.0).numeric_vf
-        )
+        def numeric_vf(omega0):
+            atom = TwoLevelAtom(omega0, "excited")
+            return oracle.verify_rates(atom, 1.0, 1.0, tol=1e-3).numeric_vf
+
+        num_ratio = numeric_vf(1.0) / numeric_vf(2.0)
         closed_ratio = (
             rates.rate_total(TwoLevelAtom(1.0, "excited"), 1.0, 1.0).vf
             / rates.rate_total(TwoLevelAtom(2.0, "excited"), 1.0, 1.0).vf
@@ -163,8 +178,9 @@ class TestVfIntegral:
 
 class TestCrossIntegral:
     def test_matches_closed_form(self):
-        got = oracle.verify_rates(TwoLevelAtom(1.0, "excited"), 1.0, 1.0).numeric_cross
-        expected = rates.rate_total(TwoLevelAtom(1.0, "excited"), 1.0, 1.0).cross
+        atom = TwoLevelAtom(1.0, "excited")
+        got = oracle.verify_rates(atom, 1.0, 1.0, tol=1e-3).numeric_cross
+        expected = rates.rate_total(atom, 1.0, 1.0).cross
         assert got == pytest.approx(expected, rel=1e-9, abs=0)
 
     def test_integrands_conjugate_symmetric(self):
@@ -190,8 +206,8 @@ class TestCrossIntegral:
                         )
 
     def test_negative_and_level_independent(self):
-        down = oracle.verify_rates(TwoLevelAtom(1.0, "excited"), 1.0, 1.0)
-        up = oracle.verify_rates(TwoLevelAtom(1.0, "ground"), 1.0, 1.0)
+        down = oracle.verify_rates(TwoLevelAtom(1.0, "excited"), 1.0, 1.0, tol=1e-3)
+        up = oracle.verify_rates(TwoLevelAtom(1.0, "ground"), 1.0, 1.0, tol=1e-3)
         assert down.numeric_cross < 0
         assert up.numeric_cross == pytest.approx(down.numeric_cross, rel=1e-12, abs=0)
 
@@ -200,7 +216,7 @@ class TestVerifyRates:
     @pytest.mark.parametrize("a", [0.1, 1.0, 10.0, 100.0, 1e4, 1e6])
     @pytest.mark.parametrize("level", ["ground", "excited"])
     def test_passes_default_grid_points(self, a, level):
-        rep = oracle.verify_rates(TwoLevelAtom(1.0, level), a, 1.0)
+        rep = oracle.verify_rates(TwoLevelAtom(1.0, level), a, 1.0, tol=1e-3)
         assert rep.passed
         assert rep.rel_err_vf < 1e-9
         assert rep.rel_err_cross < 1e-9
@@ -215,9 +231,13 @@ class TestVerifyRates:
     @pytest.mark.parametrize("level", ["ground", "excited"])
     def test_passes_where_factors_leave_double_range(self, omega0, a, mu, level):
         # mu^2, omega0^6 or (a/2)^5 is out of double range, the rates are not.
-        rep = oracle.verify_rates(TwoLevelAtom(omega0, level), a, mu)
+        rep = oracle.verify_rates(TwoLevelAtom(omega0, level), a, mu, tol=1e-3)
         assert rep.passed
         assert max(rep.rel_err_vf, rep.rel_err_cross) < 1e-14
+
+    def test_tol_is_required(self):
+        with pytest.raises(TypeError, match="tol"):
+            oracle.verify_rates(TwoLevelAtom(1.0, "ground"), 1.0, 1.0)
 
     def test_tol_validation(self):
         for tol in (0.0, -1e-3, math.nan, math.inf):
@@ -228,7 +248,7 @@ class TestVerifyRates:
                                        (math.inf, 1.0), (1.0, math.nan)])
     def test_invalid_inputs(self, a, mu):
         with pytest.raises(ValueError):
-            oracle.verify_rates(TwoLevelAtom(1.0, "ground"), a, mu)
+            oracle.verify_rates(TwoLevelAtom(1.0, "ground"), a, mu, tol=1e-3)
 
     def test_quadrature_overflow(self, monkeypatch):
         # Sums that overflow once scaled by -mu^2 omega_bd (a/2)^5 = -500^5.
@@ -236,7 +256,7 @@ class TestVerifyRates:
         monkeypatch.setattr(oracle, "_line_sums",
                             lambda atom, a: ([1e308] * 2, [1e308] * 2, grid))
         with pytest.raises(OverflowError) as err:
-            oracle.verify_rates(TwoLevelAtom(1.0, "ground"), 1e3, 1.0)
+            oracle.verify_rates(TwoLevelAtom(1.0, "ground"), 1e3, 1.0, tol=1e-3)
         assert str(err.value) == "quadrature value out of double range"
 
     def test_unreachable_tolerance_raises(self):
@@ -249,7 +269,7 @@ class TestVerifyRates:
 
     def test_node_halving_stability(self):
         # The h-step value lies within |T_h - T_2h| of the closed form.
-        rep = oracle.verify_rates(TwoLevelAtom(1.0, "ground"), 10.0, 1.0)
+        rep = oracle.verify_rates(TwoLevelAtom(1.0, "ground"), 10.0, 1.0, tol=1e-3)
         q = rep.quadrature
         assert abs(rep.numeric_vf - rep.closed_vf) < q["error_estimate_vf"]
         assert abs(rep.numeric_cross - rep.closed_cross) < q["error_estimate_cross"]
@@ -258,7 +278,8 @@ class TestVerifyRates:
         # Numeric vf divided by the inertial-scale magnitude reproduces
         # the (1 + 2n) occupation structure at a = omega0.
         omega0 = a = mu = 1.0
-        numeric = oracle.verify_rates(TwoLevelAtom(omega0, "excited"), a, mu).numeric_vf
+        atom = TwoLevelAtom(omega0, "excited")
+        numeric = oracle.verify_rates(atom, a, mu, tol=1e-3).numeric_vf
         f = 1 + 5 * (a / omega0) ** 2 + 4 * (a / omega0) ** 4
         base = -(mu**2 / (480 * math.pi**3)) * f
         n = 1 / math.expm1(2 * math.pi * omega0 / a)
@@ -266,9 +287,9 @@ class TestVerifyRates:
 
     def test_coupling_scaling(self):
         atom = TwoLevelAtom(1.0, "excited")
-        assert oracle.verify_rates(atom, 1.0, 2.0).numeric_vf == pytest.approx(
-            4 * oracle.verify_rates(atom, 1.0, 1.0).numeric_vf, rel=1e-12, abs=0
-        )
+        double = oracle.verify_rates(atom, 1.0, 2.0, tol=1e-3).numeric_vf
+        single = oracle.verify_rates(atom, 1.0, 1.0, tol=1e-3).numeric_vf
+        assert double == pytest.approx(4 * single, rel=1e-12, abs=0)
 
     @settings(max_examples=40, deadline=None, database=None)
     @given(
@@ -279,7 +300,7 @@ class TestVerifyRates:
     def test_matches_closed_forms_log_uniform(self, log_ratio, log_omega0, level):
         omega0 = 10.0**log_omega0
         rep = oracle.verify_rates(
-            TwoLevelAtom(omega0, level), omega0 * 10.0**log_ratio, 1.0
+            TwoLevelAtom(omega0, level), omega0 * 10.0**log_ratio, 1.0, tol=1e-3
         )
         assert rep.rel_err_vf < 1e-12
         assert rep.rel_err_cross < 1e-12

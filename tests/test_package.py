@@ -18,11 +18,9 @@ HOME = {
 # Public names of the other modules, which the root does not export.
 MODULE_ONLY = {
     "OracleReport": "oracle",
-    "StatFunctionPair": "correlators",
     "WorldlineParams": "correlators",
     "boost_matrix": "clifford",
     "gamma_matrix": "clifford",
-    "stat_functions_closed": "correlators",
     "trace_pair": "correlators",
     "verify_rates": "oracle",
 }
