@@ -1,13 +1,14 @@
 """Field correlators along the uniformly accelerated worldline.
 
-The massless two-point machinery: the regularized interval z, the
-z-derivative of the scalar Wightman function 1/(4 pi^2 z^2), the
-transported two-point matrix g, and the two-point trace
--a^6 / (64 pi^4 sinh^6(a dtau/2 - i epsilon)).  For real dtau the trace's
-real part is the field's symmetric statistical function C^F and i times
-its imaginary part the antisymmetric one, chi^F.  The scalar functions
-run on `cmath` and take one dtau or z each; only the matrix function
-imports `clifford`, inside the function, and returns its 4x4 tuple matrix.
+Two views of the massless field along the worldline: the transported
+two-point matrix g, built from Minkowski-frame derivatives of the scalar
+Wightman function 1/(4 pi^2 z^2) and the boosts of `clifford`, and the
+closed two-point trace -a^6 / (64 pi^4 sinh^6(a dtau/2 - i epsilon)) that
+the oracle integrates.  For real dtau the trace's real part is the field's
+symmetric statistical function C^F and i times its imaginary part the
+antisymmetric one, chi^F.  The trace runs on `cmath` and takes one dtau;
+only the matrix function imports `clifford`, inside the function, and
+returns its 4x4 tuple matrix.
 """
 from __future__ import annotations
 
@@ -41,23 +42,6 @@ class WorldlineParams(NamedTuple("_Worldline", [("accel", float), ("epsilon", fl
         return super().__new__(cls, accel, epsilon)
 
 
-def interval_z(dtau: float, params: WorldlineParams) -> complex:
-    """Regularized interval i (2/a) sinh(a dtau/2 - i epsilon)."""
-    # cmath.isfinite takes float, numpy.float64 and complex alike.
-    if not cmath.isfinite(dtau):
-        raise ValueError(f"dtau must be finite, got {dtau}")
-    shift = -1j * params.epsilon
-    a = params.accel
-    return 1j * (2.0 / a) * cmath.sinh(0.5 * a * dtau + shift)
-
-
-def dwightman_dz(z: complex) -> complex:
-    """d/dz of the massless Wightman function: -1/(2 pi^2 z^3)."""
-    if z == 0:
-        raise SingularIntervalError("Wightman derivative is singular at z = 0")
-    return -1.0 / (2.0 * _PI2 * (z * z * z))
-
-
 def g_matrix_from_worldline(tau: float, tau_p: float, params: WorldlineParams):
     """Two-time construction of g via transport-conjugation of the two-point matrix.
 
@@ -67,7 +51,8 @@ def g_matrix_from_worldline(tau: float, tau_p: float, params: WorldlineParams):
     complex shift of the earlier proper time, which reduces exactly to
     the sinh(a dtau/2 - i epsilon) prescription.  Only the gamma^0
     component survives at zero mass: g = -gamma^0 dG/dz at z(tau - tau_p),
-    with dG/dz = dwightman_dz(z), for any common shift of both times.
+    with dG/dz = -1/(2 pi^2 z^3) and z = i (2/a) sinh(a dtau/2 - i epsilon),
+    for any common shift of both times.
     """
     from .clifford import _GAMMA, boost_matrix, combine, matmul
 
@@ -93,9 +78,13 @@ def g_matrix_from_worldline(tau: float, tau_p: float, params: WorldlineParams):
 
 
 def trace_pair(dtau: float, params: WorldlineParams) -> complex:
-    """Trace of the two-point matrix pair: 4 (dG/dz)^2 at z(dtau).
-
-    Analytically -a^6 / (64 pi^4 sinh^6(a dtau/2 - i epsilon)).
+    """Trace of the two-point matrix pair, in closed form:
+    -a^6 / (64 pi^4 sinh^6(a dtau/2 - i epsilon)).
     """
-    d = dwightman_dz(interval_z(dtau, params))
-    return 4.0 * d * d
+    # cmath.isfinite takes float, numpy.float64 and complex alike.
+    if not cmath.isfinite(dtau):
+        raise ValueError(f"dtau must be finite, got {dtau}")
+    a = params.accel
+    w = cmath.sinh(0.5 * a * dtau - 1j * params.epsilon)
+    w3 = w * w * w
+    return -(a**6) / (64.0 * _PI2 * _PI2) / (w3 * w3)

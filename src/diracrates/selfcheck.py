@@ -1,7 +1,6 @@
 """Algebra and correlator identity suites, shared by the CLI and tests."""
 from __future__ import annotations
 
-import cmath
 import math
 from typing import NamedTuple
 
@@ -81,23 +80,6 @@ def check_boost_group() -> CheckResult:
     return CheckResult("boost group identities", len(devs), _worst(devs), 1e-13)
 
 
-def check_trace_vs_closed() -> CheckResult:
-    """The trace pair vs its closed form -a^6 / (64 pi^4 sinh^6(a dtau/2 - i eps)),
-    whose real part and i times imaginary part are the statistical functions."""
-    devs = []
-    for params, dtau in _trace_grid():
-        a, eps = params
-        sinh = cmath.sinh(0.5 * a * dtau - 1j * eps)
-        closed = -(a**6) / (64.0 * math.pi**4) * sinh**-6
-        tp = correlators.trace_pair(dtau, params)
-        scale = max(abs(closed.real), abs(closed.imag))
-        devs += [
-            abs(tp.real - closed.real) / scale,
-            abs(tp.imag - closed.imag) / scale,
-        ]
-    return CheckResult("trace route vs closed forms", len(devs), _worst(devs), 1e-10)
-
-
 def check_two_point_vs_trace() -> CheckResult:
     """Tr[g g] of the transported two-point matrix at tau = dtau/2 and
     tau' = -dtau/2 vs the trace pair at dtau."""
@@ -114,6 +96,5 @@ def run_all() -> list[CheckResult]:
     return [
         check_gamma_algebra(),
         check_boost_group(),
-        check_trace_vs_closed(),
         check_two_point_vs_trace(),
     ]

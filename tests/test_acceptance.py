@@ -33,18 +33,6 @@ def test_criterion_2_boost_group():
     )
 
 
-def test_criterion_4_trace_route_vs_closed_forms():
-    start = time.monotonic()
-    result = selfcheck.check_trace_vs_closed()
-    elapsed = time.monotonic() - start
-    _report(
-        4,
-        f"trace route vs closed forms, max dev {result.max_deviation:.2e} "
-        f"({elapsed:.2f}s)",
-        result.max_deviation < 1e-10 and elapsed < 5.0,
-    )
-
-
 def test_criterion_5_oracle_equivalence():
     start = time.monotonic()
     worst = 0.0

@@ -64,6 +64,17 @@ class TestChannels:
         for level in ("ground", "excited"):
             assert at.susceptibility_c(TwoLevelAtom(1.0, level), 0.0) == at.CHANNEL_WEIGHT
 
+    def test_weight_from_raising_and_lowering(self):
+        # W is shared by the closed forms and the oracle, so verify cannot
+        # see it; derive it from R2 = i(R_- - R_+)/2 in the basis (|+>, |->).
+        r_plus = [[0, 1], [0, 0]]  # |+><-|
+        r_minus = [[0, 0], [1, 0]]  # |-><+|
+        r2 = [[0.5j * (m - p) for m, p in zip(rm, rp)]
+              for rm, rp in zip(r_minus, r_plus)]
+        assert r2[0][0] == r2[1][1] == 0
+        for b, d in ((1, 0), (0, 1)):  # down from |+>, up from |->
+            assert abs(r2[b][d]) ** 2 == at.CHANNEL_WEIGHT
+
 
 class TestSusceptibilityC:
     def test_coincidence(self):

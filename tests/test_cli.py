@@ -750,7 +750,7 @@ class TestSelfcheck:
         assert code == 0
         out = capsys.readouterr().out
         assert "16 cases checked" in out
-        assert out.count("pass") == 4
+        assert out.count("pass") == 3
         assert "two-point matrix vs trace: 360 cases checked" in out
 
     def test_failed_suite_exit_4(self, monkeypatch, capsys):

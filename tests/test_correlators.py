@@ -1,4 +1,4 @@
-"""Worldline geometry, Wightman functions, and the two-point trace."""
+"""Worldline parameters, the transported two-point matrix, and the trace."""
 import cmath
 import math
 
@@ -10,6 +10,16 @@ from diracrates.correlators import SingularIntervalError, WorldlineParams
 
 PI2 = math.pi**2
 PI4 = math.pi**4
+
+
+def _interval_z(dtau, p):
+    """The regularized interval z = i (2/a) sinh(a dtau/2 - i epsilon)."""
+    return 2j / p.accel * cmath.sinh(0.5 * p.accel * dtau - 1j * p.epsilon)
+
+
+def _dwightman_dz(z):
+    """d/dz of the massless Wightman function 1/(4 pi^2 z^2)."""
+    return -1 / (2 * PI2 * z**3)
 
 
 class TestWorldlineParams:
@@ -33,56 +43,6 @@ class TestWorldlineParams:
             WorldlineParams(accel=1.0)
 
 
-class TestIntervalZ:
-    def test_zero_dtau(self):
-        p = WorldlineParams(accel=1.0, epsilon=0.01)
-        z = co.interval_z(0.0, p)
-        assert z == pytest.approx(2 * math.sin(0.01), abs=1e-15)
-        assert abs(z.imag) < 1e-15
-
-    def test_reflection_conjugates(self):
-        # sinh oddness: z(-dtau) is the conjugate of z(dtau).
-        p = WorldlineParams(accel=1.0, epsilon=1e-3)
-        z1 = co.interval_z(0.5, p)
-        z2 = co.interval_z(-0.5, p)
-        assert z2 == pytest.approx(z1.conjugate(), rel=1e-14)
-
-    def test_vanishing_regulator_limit(self):
-        p = WorldlineParams(accel=1.0, epsilon=1e-12)
-        z = co.interval_z(2 * math.pi, p)
-        assert z == pytest.approx(2j * math.sinh(math.pi), rel=1e-9)
-
-    def test_returns_complex(self):
-        p = WorldlineParams(accel=1.5, epsilon=0.4)
-        for dtau in (0.0, -8.0, np.float64(3.5)):
-            assert type(co.interval_z(dtau, p)) is complex
-
-
-class TestWightmanDerivative:
-    def test_value_at_one(self):
-        assert co.dwightman_dz(1.0) == pytest.approx(-1 / (2 * PI2))
-
-    def test_value_at_i(self):
-        assert co.dwightman_dz(1j) == pytest.approx(-1 / (2 * PI2 * (1j) ** 3))
-
-    def test_finite_difference(self):
-        def wightman(z):
-            return 1 / (4 * PI2 * z * z)
-
-        z, h = 1 + 0.5j, 1e-5
-        fd = (wightman(z + h) - wightman(z - h)) / (2 * h)
-        assert co.dwightman_dz(z) == pytest.approx(fd, abs=1e-8)
-
-    def test_singularity(self):
-        with pytest.raises(SingularIntervalError):
-            co.dwightman_dz(0.0)
-
-    def test_singularity_at_complex_zero(self):
-        for z in (0j, complex(-0.0, 0.0)):
-            with pytest.raises(SingularIntervalError):
-                co.dwightman_dz(z)
-
-
 class TestGMatrix:
     def test_only_gamma0_component(self):
         from diracrates import clifford
@@ -99,7 +59,7 @@ class TestGMatrix:
 
         p = WorldlineParams(accel=1.0, epsilon=1e-4)
         g = np.array(co.g_matrix_from_worldline(1.0, 0.0, p))
-        d = co.dwightman_dz(co.interval_z(1.0, p))
+        d = _dwightman_dz(_interval_z(1.0, p))
         assert np.trace(np.array(clifford.gamma_matrix(0)) @ g) == pytest.approx(
             -4 * d, rel=1e-13
         )
@@ -111,9 +71,9 @@ class TestGMatrix:
         g_shifted = np.array(co.g_matrix_from_worldline(3.0, 2.0, p))
         g_base = np.array(co.g_matrix_from_worldline(1.0, 0.0, p))
         # -gamma^0 dG/dz, G = 1/(4 pi^2 z^2), at z(1.0)
-        z = co.interval_z(1.0, p)
-        dg_dz = -1 / (2 * PI2 * z**3)
-        g_closed = -dg_dz * np.array(clifford.gamma_matrix(0))
+        g_closed = -_dwightman_dz(_interval_z(1.0, p)) * np.array(
+            clifford.gamma_matrix(0)
+        )
         scale = np.max(np.abs(g_closed))
         assert np.max(np.abs(g_shifted - g_base)) / scale < 1e-12
         assert np.max(np.abs(g_shifted - g_closed)) / scale < 1e-12
@@ -160,19 +120,6 @@ class TestStatFunctions:
         expected = -1 / (64 * PI4) * math.sinh(math.pi / 2) ** -6
         assert c_f == pytest.approx(expected, rel=1e-6)
 
-    def test_trace_route_equivalence(self):
-        for a in (0.5, 1.0, 2.0):
-            for eps in (1e-3, 1e-4):
-                p = WorldlineParams(accel=a, epsilon=eps)
-                for dtau in np.linspace(0.05 / a, 20.0 / a, 25):
-                    closed = -(a**6) / (
-                        64 * PI4 * cmath.sinh(0.5 * a * dtau - 1j * eps) ** 6
-                    )
-                    tp = co.trace_pair(dtau, p)
-                    scale = max(abs(closed.real), abs(closed.imag))
-                    assert abs(tp.real - closed.real) / scale < 1e-10
-                    assert abs(tp.imag - closed.imag) / scale < 1e-10
-
     def test_symmetry_classes_shrink_with_regulator(self):
         # Off the light cone the massless field's commutator vanishes:
         # chi^F at dtau != 0 is O(epsilon), and halves with it.
@@ -210,9 +157,8 @@ class TestNonFiniteTime:
     @pytest.mark.parametrize("dtau", NON_FINITE)
     def test_interval_and_trace(self, dtau):
         p = WorldlineParams(1.0, 1e-4)
-        for f in (co.interval_z, co.trace_pair):
-            with pytest.raises(ValueError, match=r"^dtau must be finite, got "):
-                f(dtau, p)
+        with pytest.raises(ValueError, match=r"^dtau must be finite, got "):
+            co.trace_pair(dtau, p)
 
     @pytest.mark.parametrize("t", NON_FINITE)
     def test_g_matrix_from_worldline(self, t):
@@ -229,4 +175,18 @@ class TestNonFiniteTime:
         # The oracle's lines and the regulated matrix route pass complex times.
         p = WorldlineParams(1.0, 0.3)
         assert cmath.isfinite(co.trace_pair(complex(0.4, -0.2), p))
-        assert cmath.isfinite(co.interval_z(complex(0.4, -0.2), p))
+
+
+class TestSingularPoints:
+    def test_raises(self):
+        # The shift 2 i epsilon / a of the earlier time rounds away at
+        # epsilon = 1e-300, so the two trajectory points coincide.
+        p = WorldlineParams(1.0, 1e-300)
+        with pytest.raises(SingularIntervalError, match="^coincident trajectory"):
+            co.g_matrix_from_worldline(0.3, 0.3, p)
+        # sinh(a dtau/2 - i epsilon)^6 underflows to 0 at the light cone ...
+        with pytest.raises(ZeroDivisionError):
+            co.trace_pair(0.0, p)
+        # ... and leaves float range at a dtau/2 = 1000.
+        with pytest.raises(OverflowError):
+            co.trace_pair(2000.0, WorldlineParams(1.0, 1e-4))
