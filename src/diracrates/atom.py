@@ -1,6 +1,4 @@
 """Two-level atom model: the single transition and susceptibility functions."""
-from __future__ import annotations
-
 import cmath
 import math
 from typing import Literal, get_args

@@ -3,14 +3,11 @@
 Exit codes: 0 success, 1 I/O failure, 2 usage error, 3 verification
 failure, 4 identity failure.
 """
-from __future__ import annotations
-
 import argparse
 import itertools
 import math
 import os
 import sys
-from pathlib import Path
 from typing import Callable, Iterator
 
 # `cmd_selfcheck` imports `selfcheck` when called, and `cmd_verify` its
@@ -93,10 +90,11 @@ def _with_config(argv: list[str], parser: argparse.ArgumentParser) -> list[str]:
         finder.add_argument(option, dest=action.dest, nargs="?")
     found = vars(finder.parse_known_args(argv[1:])[0])  # the options given
     path = found.get("config")
-    if not path or "help" in found:
+    if path is None or "help" in found:
         return argv
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
     except UnicodeDecodeError as exc:
         raise OSError(f"{path}: not UTF-8 text ({exc.reason})") from None
     flags = []
@@ -265,7 +263,7 @@ def cmd_sweep(args) -> int:
         rows = _lines_in_two(lines, points // 2, points)
     else:
         rows = lines(0, points)
-    if args.output:
+    if args.output is not None:
         with open(args.output, "wb", buffering=CHUNK) as fh:
             fh.write(SWEEP_HEADER.encode() + b"\n")
             fh.writelines(rows)
@@ -276,8 +274,6 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    import json
-
     from . import oracle
 
     omega0, coupling, tol = args.omega0, args.coupling, args.tol
@@ -301,6 +297,8 @@ def cmd_verify(args) -> int:
     all_pass = all(e.get("passed", False) for e in entries)
 
     if args.format == "json":
+        import json
+
         print(
             json.dumps(
                 {"omega0": omega0, "coupling": coupling, "tol": tol,

@@ -7,8 +7,6 @@ immutable tuple of four row tuples of Python complex, and `matmul`,
 `combine` and `scale` are the only arithmetic on them.  Metric signature
 is (+,-,-,-).
 """
-from __future__ import annotations
-
 import cmath
 import math
 

@@ -10,8 +10,6 @@ antisymmetric one, chi^F.  The trace runs on `cmath` and takes one dtau;
 only the matrix function imports `clifford`, inside the function, and
 returns its 4x4 tuple matrix.
 """
-from __future__ import annotations
-
 import cmath
 import math
 from typing import NamedTuple
@@ -54,7 +52,7 @@ def g_matrix_from_worldline(tau: float, tau_p: float, params: WorldlineParams):
     with dG/dz = -1/(2 pi^2 z^3) and z = i (2/a) sinh(a dtau/2 - i epsilon),
     for any common shift of both times.
     """
-    from .clifford import _GAMMA, boost_matrix, combine, matmul
+    from .clifford import boost_matrix, combine, gamma_matrix, matmul
 
     for name, t in (("tau", tau), ("tau_p", tau_p)):
         if not cmath.isfinite(t):
@@ -71,7 +69,7 @@ def g_matrix_from_worldline(tau: float, tau_p: float, params: WorldlineParams):
     # d/dx^mu of G = 1/(4 pi^2 sigma), sigma = |dx|^2 - dt^2
     dG_dt = dt / (2.0 * _PI2 * sigma * sigma)
     dG_dx = -dx / (2.0 * _PI2 * sigma * sigma)
-    two_point = combine(1j * dG_dt, _GAMMA[0], 1j * dG_dx, _GAMMA[1])
+    two_point = combine(1j * dG_dt, gamma_matrix(0), 1j * dG_dx, gamma_matrix(1))
 
     # The transport matrix at tau is boost_matrix(a, -tau).
     return matmul(matmul(boost_matrix(a, -tau), two_point), boost_matrix(a, tau_p_c))

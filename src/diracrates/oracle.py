@@ -10,8 +10,6 @@ trapezoidal rule converges geometrically (Trefethen & Weideman, SIAM
 Rev. 56, 2014).  The route uses only Cauchy deformation, never the
 residue sums behind the closed forms, so agreement is an independent check.
 """
-from __future__ import annotations
-
 import math
 import sys
 from typing import NamedTuple

@@ -8,8 +8,6 @@ per acceleration; it is the only loop that computes closed-form points, and
 Also an SI acceleration conversion helper.
 Natural units (hbar = c = 1) throughout; energies per unit proper time.
 """
-from __future__ import annotations
-
 import math
 import sys
 from typing import Iterable, Iterator, NamedTuple

@@ -1,6 +1,4 @@
 """Algebra and correlator identity suites, shared by the CLI and tests."""
-from __future__ import annotations
-
 import math
 from typing import NamedTuple
 

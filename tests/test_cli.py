@@ -367,6 +367,15 @@ class TestSweep:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("output", [["--output", ""], ["--output="]])
+    def test_empty_output_path_exit_1(self, output, capsys):
+        # An empty path names no file: it is refused, not read as stdout.
+        argv = ["sweep", "--accel-max", "1", "--points", "2"] + output
+        assert run_cli(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
     def test_missing_range_is_usage_error(self):
         with pytest.raises(SystemExit):
             run_cli(["sweep", "--accel-min", "0", "--points", "2"])
@@ -804,6 +813,14 @@ class TestConfigFile:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("config", [["--config", ""], ["--config="]])
+    def test_empty_config_path_exit_1(self, config, capsys):
+        # An empty path names no file: it is refused, not read as no config.
+        assert run_cli(["rate"] + config) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
     @pytest.mark.parametrize("help_first", [True, False])
     def test_help_does_not_read_config(self, help_first, tmp_path, capsys):
         config = ["--config", str(tmp_path / "missing.cfg")]
@@ -1166,7 +1183,8 @@ def test_any_float_gives_documented_exit(command, data):
 STARTUP_PROBE = """
 import contextlib, io, sys
 def loaded():
-    return [m for m in ("dataclasses", "inspect", "json", "numpy") if m in sys.modules]
+    watched = ("__future__", "dataclasses", "inspect", "json", "numpy", "pathlib")
+    return [m for m in watched if m in sys.modules]
 steps = []
 import diracrates
 steps.append([0, loaded()])
@@ -1181,13 +1199,15 @@ print(steps)
 
 
 def startup_steps(argvs):
-    """[exit code, which of dataclasses, inspect, json and numpy are loaded]
-    after `import diracrates`, after `import diracrates.cli`, and after each
-    argv in turn, in one fresh interpreter. The probe itself imports none of
-    them: argvs reach it as a literal and the steps leave it as a repr."""
+    """[exit code, which of __future__, dataclasses, inspect, json, numpy
+    and pathlib are loaded] after `import diracrates`, after `import
+    diracrates.cli`, and after each argv in turn, in one fresh interpreter
+    run with -S, so that no `site` hook loads any of them first. The probe
+    itself imports none of them: argvs reach it as a literal and the steps
+    leave it as a repr."""
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
     proc = subprocess.run(
-        [sys.executable, "-c", f"argvs = {argvs!r}\n{STARTUP_PROBE}"],
+        [sys.executable, "-S", "-c", f"argvs = {argvs!r}\n{STARTUP_PROBE}"],
         capture_output=True, text=True, env=env, check=True,
     )
     return ast.literal_eval(proc.stdout)
@@ -1221,8 +1241,8 @@ def test_readme_flag_table_matches_parser():
 
 class TestStartup:
     def test_rate_and_sweep_do_not_import_numpy(self):
-        # Nor dataclasses or inspect; json only once JSON is written, so the
-        # json request runs last.
+        # Nor __future__, dataclasses, inspect or pathlib; json only once
+        # JSON is written, so the json request runs last.
         rate = ["rate", "--omega0", "2", "--accel", "3", "--state", "excited"]
         argvs = [rate + ["--format", f] for f in ("human", "csv")]
         argvs.append(["sweep", "--accel-max", "10", "--points", "5", "--scale", "linear"])
@@ -1254,13 +1274,15 @@ print([code, len(forks), [m for m in spawners if m in sys.modules]])
         assert ast.literal_eval(proc.stdout) == [0, 1, []]
 
     def test_verify_loads_only_json(self):
-        # The oracle runs on math and cmath: no numpy, dataclasses or inspect.
-        steps = startup_steps([["verify", "--accel", "1"]])
-        assert steps == [[0, []], [0, []], [0, ["json"]]]
+        # The oracle runs on math and cmath: no watched module is loaded,
+        # and json only once JSON is written, so the json request runs last.
+        verify = ["verify", "--accel", "1"]
+        steps = startup_steps([verify, verify + ["--format", "json"]])
+        assert steps == [[0, []], [0, []], [0, []], [0, ["json"]]]
 
     def test_selfcheck_loads_nothing(self):
-        # The Clifford algebra runs on tuples of complex: of dataclasses,
-        # inspect, json and numpy, none is loaded after selfcheck.
+        # The Clifford algebra runs on tuples of complex: no watched module
+        # is loaded after selfcheck.
         steps = startup_steps([["selfcheck"]])
         assert steps == [[0, []], [0, []], [0, []]]
 
