@@ -1,10 +1,8 @@
 """Two-level atom model: the single transition and susceptibility functions."""
 import cmath
 import math
-from typing import Literal, get_args
 
-Level = Literal["ground", "excited"]
-LEVELS = get_args(Level)
+LEVELS = ("ground", "excited")
 
 # |<b|R2(0)|d>|^2 for the single transition of a two-level atom;
 # R2 = i(R_- - R_+)/2 gives matrix element i/2, modulus squared 1/4.
@@ -24,7 +22,7 @@ class TwoLevelAtom:
 
     __slots__ = ("omega0", "level", "omega_bd")
 
-    def __init__(self, omega0: float, level: Level = "ground") -> None:
+    def __init__(self, omega0: float, level: str = "ground") -> None:
         if not (0 < omega0 < math.inf):
             raise ValueError(f"omega0 must be positive and finite, got {omega0}")
         if level not in LEVELS:

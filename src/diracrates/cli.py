@@ -8,7 +8,7 @@ import itertools
 import math
 import os
 import sys
-from typing import Callable, Iterator
+from collections.abc import Callable, Iterator
 
 # `cmd_selfcheck` imports `selfcheck` when called, and `cmd_verify` its
 # `oracle`: `rate` and `sweep` load neither. `json` is imported only where

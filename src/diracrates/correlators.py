@@ -12,7 +12,7 @@ returns its 4x4 tuple matrix.
 """
 import cmath
 import math
-from typing import NamedTuple
+from collections import namedtuple
 
 _PI2 = math.pi**2
 
@@ -21,7 +21,7 @@ class SingularIntervalError(ArithmeticError):
     """Evaluation at the light-cone singularity (z = 0)."""
 
 
-class WorldlineParams(NamedTuple("_Worldline", [("accel", float), ("epsilon", float)])):
+class WorldlineParams(namedtuple("WorldlineParams", "accel epsilon")):
     """Proper acceleration and the regulator of the interval function.
 
     epsilon is the dimensionless shift inside the sinh argument,
@@ -38,6 +38,11 @@ class WorldlineParams(NamedTuple("_Worldline", [("accel", float), ("epsilon", fl
         if not 0 < epsilon < math.pi:
             raise ValueError(f"epsilon must lie in (0, pi), got {epsilon}")
         return super().__new__(cls, accel, epsilon)
+
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's own _make, which _replace calls, skips __new__.
+        return cls(*iterable)
 
 
 def g_matrix_from_worldline(tau: float, tau_p: float, params: WorldlineParams):

@@ -12,7 +12,7 @@ residue sums behind the closed forms, so agreement is an independent check.
 """
 import math
 import sys
-from typing import NamedTuple
+from collections import namedtuple
 
 from . import correlators, rates
 from .atom import TwoLevelAtom, susceptibility_c, susceptibility_chi
@@ -36,17 +36,13 @@ class ConvergenceError(RuntimeError):
         self.diagnostics = diagnostics
 
 
-class OracleReport(NamedTuple):
+class OracleReport(namedtuple("OracleReport", (
+    "numeric_vf", "closed_vf", "numeric_cross", "closed_cross",
+    "rel_err_vf", "rel_err_cross", "quadrature", "passed",
+))):
     """One verify entry, its fields in the verify JSON's key order."""
 
-    numeric_vf: float
-    closed_vf: float
-    numeric_cross: float
-    closed_cross: float
-    rel_err_vf: float
-    rel_err_cross: float
-    quadrature: dict
-    passed: bool
+    __slots__ = ()
 
 
 def _line_sums(atom: TwoLevelAtom, a: float) -> tuple[list, list, dict]:

@@ -10,7 +10,8 @@ Natural units (hbar = c = 1) throughout; energies per unit proper time.
 """
 import math
 import sys
-from typing import Iterable, Iterator, NamedTuple
+from collections import namedtuple
+from collections.abc import Iterable, Iterator
 
 from .atom import CHANNEL_WEIGHT, TwoLevelAtom
 
@@ -20,16 +21,12 @@ SPEED_OF_LIGHT = 2.99792458e8  # m/s
 _RATE_DENOM = 120.0 * math.pi**3
 
 
-class RateBreakdown(NamedTuple):
+class RateBreakdown(namedtuple(
+    "RateBreakdown", "accel vf cross total poly_factor planck_n effective_temperature"
+)):
     """One point in the order of the sweep CSV's columns; the last is a/2pi."""
 
-    accel: float
-    vf: float
-    cross: float
-    total: float
-    poly_factor: float
-    planck_n: float
-    effective_temperature: float
+    __slots__ = ()
 
 
 def rate_rows(atom: TwoLevelAtom, accels: Iterable[float], mu: float) -> Iterator[tuple]:

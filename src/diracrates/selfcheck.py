@@ -1,15 +1,14 @@
 """Algebra and correlator identity suites, shared by the CLI and tests."""
 import math
-from typing import NamedTuple
+from collections import namedtuple
 
 from . import clifford, correlators
 
 
-class CheckResult(NamedTuple):
-    name: str
-    cases: int
-    max_deviation: float
-    tolerance: float
+class CheckResult(namedtuple("CheckResult", "name cases max_deviation tolerance")):
+    """One suite's line: it passes if its worst deviation is within tolerance."""
+
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:

@@ -1183,7 +1183,7 @@ def test_any_float_gives_documented_exit(command, data):
 STARTUP_PROBE = """
 import contextlib, io, sys
 def loaded():
-    watched = ("__future__", "dataclasses", "inspect", "json", "numpy", "pathlib")
+    watched = ("__future__", "dataclasses", "inspect", "json", "numpy", "pathlib", "typing")
     return [m for m in watched if m in sys.modules]
 steps = []
 import diracrates
@@ -1199,8 +1199,8 @@ print(steps)
 
 
 def startup_steps(argvs):
-    """[exit code, which of __future__, dataclasses, inspect, json, numpy
-    and pathlib are loaded] after `import diracrates`, after `import
+    """[exit code, which of __future__, dataclasses, inspect, json, numpy,
+    pathlib and typing are loaded] after `import diracrates`, after `import
     diracrates.cli`, and after each argv in turn, in one fresh interpreter
     run with -S, so that no `site` hook loads any of them first. The probe
     itself imports none of them: argvs reach it as a literal and the steps
@@ -1241,8 +1241,8 @@ def test_readme_flag_table_matches_parser():
 
 class TestStartup:
     def test_rate_and_sweep_do_not_import_numpy(self):
-        # Nor __future__, dataclasses, inspect or pathlib; json only once
-        # JSON is written, so the json request runs last.
+        # Nor __future__, dataclasses, inspect, pathlib or typing; json only
+        # once JSON is written, so the json request runs last.
         rate = ["rate", "--omega0", "2", "--accel", "3", "--state", "excited"]
         argvs = [rate + ["--format", f] for f in ("human", "csv")]
         argvs.append(["sweep", "--accel-max", "10", "--points", "5", "--scale", "linear"])
@@ -1252,7 +1252,8 @@ class TestStartup:
 
     def test_split_sweep_forks_with_os_alone(self, tmp_path):
         # A sweep long enough to split, on a forced second CPU: it forks
-        # once and loads no process-spawning module.
+        # once and loads no process-spawning module, nor typing (under -S,
+        # so that no `site` hook loads it first).
         argv = ["sweep", "--accel-max", "10", "--points", str(cli.SPLIT_MIN_POINTS),
                 "--output", str(tmp_path / "sweep.csv")]
         probe = f"""
@@ -1265,11 +1266,11 @@ def counted_fork():
     return fork()
 os.fork = counted_fork
 code = cli.main({argv!r})
-spawners = ("subprocess", "multiprocessing", "concurrent")
-print([code, len(forks), [m for m in spawners if m in sys.modules]])
+unwanted = ("subprocess", "multiprocessing", "concurrent", "typing")
+print([code, len(forks), [m for m in unwanted if m in sys.modules]])
 """
         env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
-        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+        proc = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True,
                               text=True, env=env, check=True)
         assert ast.literal_eval(proc.stdout) == [0, 1, []]
 

@@ -38,6 +38,18 @@ class TestWorldlineParams:
             with pytest.raises(ValueError):
                 WorldlineParams(accel=1.0, epsilon=eps)
 
+    def test_replace_and_make_validate(self):
+        # namedtuple's own _make, which _replace calls, builds the tuple
+        # without __new__; both must go through the constructor's checks.
+        with pytest.raises(ValueError, match=r"^epsilon must lie in \(0, pi\), got 5.0$"):
+            WorldlineParams(2.0, 1.0)._replace(epsilon=5.0)
+        with pytest.raises(ValueError, match=r"^accel must be positive and finite, got nan$"):
+            WorldlineParams._make((math.nan, -1.0))
+        changed = WorldlineParams(2.0, 1.0)._replace(epsilon=0.5)
+        assert type(changed) is WorldlineParams and changed == (2.0, 0.5)
+        with pytest.raises(TypeError):
+            WorldlineParams._make((1.0, 0.5, 0.5))
+
     def test_epsilon_required(self):
         with pytest.raises(TypeError, match="epsilon"):
             WorldlineParams(accel=1.0)
