@@ -1,6 +1,7 @@
 """Two-level atom model: the single transition and susceptibility functions."""
 import cmath
 import math
+from collections import namedtuple
 
 LEVELS = ("ground", "excited")
 
@@ -9,56 +10,39 @@ LEVELS = ("ground", "excited")
 CHANNEL_WEIGHT = 0.25
 
 
-class TwoLevelAtom:
-    """Level splitting omega0 and initial level: a frozen value, validated
-    on construction, equal and hashed by (omega0, level).  omega_bd is the
-    signed transition frequency omega_b - omega_d from the initial level:
-    +omega0 down from the excited level, -omega0 up from the ground one.
-
-    A slotted class, not a dataclass: `dataclasses` imports `inspect`,
-    which would double what importing this package adds to the start-up
-    of `rate` and `sweep`.
+class TwoLevelAtom(namedtuple("TwoLevelAtom", "omega0 level")):
+    """Level splitting omega0 and initial level, validated on construction.
+    omega_bd is the signed transition frequency omega_b - omega_d from the
+    initial level: +omega0 down from the excited level, -omega0 up from the
+    ground one.
     """
 
-    __slots__ = ("omega0", "level", "omega_bd")
+    __slots__ = ()
 
-    def __init__(self, omega0: float, level: str = "ground") -> None:
+    def __new__(cls, omega0: float, level: str = "ground"):
         if not (0 < omega0 < math.inf):
             raise ValueError(f"omega0 must be positive and finite, got {omega0}")
         if level not in LEVELS:
             names = " or ".join(map(repr, LEVELS))
             raise ValueError(f"level must be {names}, got {level!r}")
-        object.__setattr__(self, "omega0", omega0)
-        object.__setattr__(self, "level", level)
-        object.__setattr__(self, "omega_bd", omega0 if level == "excited" else -omega0)
+        return super().__new__(cls, omega0, level)
 
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's own _make, which _replace calls, skips __new__.
+        return cls(*iterable)
 
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.omega0, self.level) == (other.omega0, other.level)
-
-    def __hash__(self) -> int:
-        return hash((self.omega0, self.level))
-
-    def __repr__(self) -> str:
-        return f"TwoLevelAtom(omega0={self.omega0!r}, level={self.level!r})"
-
-    def __reduce__(self):
-        return (self.__class__, (self.omega0, self.level))
+    @property
+    def omega_bd(self) -> float:
+        return self.omega0 if self.level == "excited" else -self.omega0
 
 
-def susceptibility_c(atom: TwoLevelAtom, dtau: complex) -> complex:
+def susceptibility_c(omega_bd: float, dtau: complex) -> complex:
     """Symmetric atomic susceptibility W cos(omega_bd dtau), even in dtau;
     dtau may be complex."""
-    return CHANNEL_WEIGHT * cmath.cos(atom.omega_bd * dtau)
+    return CHANNEL_WEIGHT * cmath.cos(omega_bd * dtau)
 
 
-def susceptibility_chi(atom: TwoLevelAtom, dtau: complex) -> complex:
-    """Antisymmetric i W sin(omega_bd dtau), odd in dtau; sign flips with level."""
-    return 1j * CHANNEL_WEIGHT * cmath.sin(atom.omega_bd * dtau)
+def susceptibility_chi(omega_bd: float, dtau: complex) -> complex:
+    """Antisymmetric i W sin(omega_bd dtau), odd in dtau; sign flips with omega_bd."""
+    return 1j * CHANNEL_WEIGHT * cmath.sin(omega_bd * dtau)

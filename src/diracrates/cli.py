@@ -93,7 +93,7 @@ def _with_config(argv: list[str], parser: argparse.ArgumentParser) -> list[str]:
     if path is None or "help" in found:
         return argv
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             text = fh.read()
     except UnicodeDecodeError as exc:
         raise OSError(f"{path}: not UTF-8 text ({exc.reason})") from None

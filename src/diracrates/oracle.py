@@ -51,19 +51,19 @@ def _line_sums(atom: TwoLevelAtom, a: float) -> tuple[list, list, dict]:
 
     On the line u - i s the trace at acceleration a is (a/2)^6 times the
     trace at acceleration 2 and dtau = u, regulator s; the susceptibilities
-    of the atom with omega0 scaled by 2/a take dtau = u - i s.  Factoring
+    take the frequency w = 2 omega_bd / a and dtau = u - i s.  Factoring
     out (a/2)^6 keeps the sums in double range for any a.  i W sin keeps
     the cross sum accurate for a >> omega, where the integrals at +-omega
     agree to about log10(a/omega) digits.  The shift
     s = min(pi/2, 3a/|omega|) keeps |Im(omega dtau)| <= 6; h = s/10 takes ten
-    steps to the pole and, as w h <= 0.6 for w = 2|omega|/a, ten a period.
+    steps to the pole and, as |w| h <= 0.6, ten a period.
     Both integrands satisfy f(-u) = conj f(u), as sinh, cos and i sin of
     -u - i s are -+ the conjugates of theirs at u - i s, so only u >= 0 is
     evaluated: Re f weighted 1 at u = 0 and 2 elsewhere.
     Returns the [vf, cross] sums at steps h and 2h (even-indexed nodes)
     and the grid.
     """
-    s = min(math.pi / 2, 3.0 * a / abs(atom.omega_bd))
+    s = min(math.pi / 2, 3.0 * a / atom.omega0)
     h = 0.1 * s
     # For subnormal a, h underflows to 0 or the node count leaves float
     # range; a count with no float value is reported as null.
@@ -77,7 +77,7 @@ def _line_sums(atom: TwoLevelAtom, a: float) -> tuple[list, list, dict]:
             f"quadrature needs {count} nodes, above the limit {_MAX_NODES}", grid
         )
     line = correlators.WorldlineParams(2.0, epsilon=s)
-    scaled = TwoLevelAtom(2.0 * atom.omega0 / a, atom.level)
+    w = 2.0 * atom.omega_bd / a
 
     def sums(ks: range) -> list:
         # fsum of Re f over u = k h, k in ks, for the vf and the cross integrand
@@ -86,8 +86,8 @@ def _line_sums(atom: TwoLevelAtom, a: float) -> tuple[list, list, dict]:
             u = k * h
             g = correlators.trace_pair(u, line)
             z = u - 1j * s
-            vf.append((g * susceptibility_c(scaled, z)).real)
-            cross.append((g * susceptibility_chi(scaled, z)).real)
+            vf.append((g * susceptibility_c(w, z)).real)
+            cross.append((g * susceptibility_chi(w, z)).real)
         return [math.fsum(vf), math.fsum(cross)]
 
     zero = sums(range(1))

@@ -26,6 +26,21 @@ class TestTwoLevelAtom:
         with pytest.raises(ValueError, match="^omega0"):
             TwoLevelAtom(0.0, "superposed")
 
+    def test_replace_and_make_validate(self):
+        # namedtuple's own _make, which _replace calls, builds the tuple
+        # without __new__; both must go through the constructor's checks.
+        with pytest.raises(ValueError, match=r"^omega0 must be positive and finite, got 0.0$"):
+            TwoLevelAtom(1.0)._replace(omega0=0.0)
+        with pytest.raises(
+            ValueError, match=r"^level must be 'ground' or 'excited', got 'mixed'$"
+        ):
+            TwoLevelAtom._make((1.0, "mixed"))
+        changed = TwoLevelAtom(1.0)._replace(level="excited")
+        assert type(changed) is TwoLevelAtom and changed == (1.0, "excited")
+        assert changed.omega_bd == 1.0
+        with pytest.raises(TypeError):
+            TwoLevelAtom._make((1.0, "ground", 0.5))
+
     def test_frozen(self):
         atom = TwoLevelAtom(1.0)
         for name, value in (("omega0", 2.0), ("level", "excited"), ("other", 0)):
@@ -38,11 +53,11 @@ class TestTwoLevelAtom:
     def test_value_semantics(self):
         atom = TwoLevelAtom(1.0, "ground")
         same = TwoLevelAtom(omega0=1.0, level="ground")
-        assert atom == same and not atom != same
-        assert hash(atom) == hash(same)
+        for twin in (same, (1.0, "ground")):
+            assert atom == twin and not atom != twin
+            assert hash(atom) == hash(twin)
         assert len({atom, same}) == 1
-        for other in (TwoLevelAtom(1.0, "excited"), TwoLevelAtom(2.0, "ground"),
-                      (1.0, "ground"), None):
+        for other in (TwoLevelAtom(1.0, "excited"), TwoLevelAtom(2.0, "ground"), None):
             assert atom != other and not atom == other
         assert repr(atom) == "TwoLevelAtom(omega0=1.0, level='ground')"
         assert copy.copy(atom) == atom
@@ -62,7 +77,8 @@ class TestChannels:
         # |<b|R2(0)|d>|^2 = |i/2|^2; the susceptibility at coincidence is it.
         assert at.CHANNEL_WEIGHT == 0.25
         for level in ("ground", "excited"):
-            assert at.susceptibility_c(TwoLevelAtom(1.0, level), 0.0) == at.CHANNEL_WEIGHT
+            w = TwoLevelAtom(1.0, level).omega_bd
+            assert at.susceptibility_c(w, 0.0) == at.CHANNEL_WEIGHT
 
     def test_weight_from_raising_and_lowering(self):
         # W is shared by the closed forms and the oracle, so verify cannot
@@ -78,52 +94,52 @@ class TestChannels:
 
 class TestSusceptibilityC:
     def test_coincidence(self):
-        assert at.susceptibility_c(TwoLevelAtom(3.0, "excited"), 0.0) == 0.25
+        assert at.susceptibility_c(TwoLevelAtom(3.0, "excited").omega_bd, 0.0) == 0.25
 
     def test_even(self):
         a = TwoLevelAtom(1.0, "ground")
-        assert at.susceptibility_c(a, 0.3) == pytest.approx(
-            at.susceptibility_c(a, -0.3), abs=1e-15
+        assert at.susceptibility_c(a.omega_bd, 0.3) == pytest.approx(
+            at.susceptibility_c(a.omega_bd, -0.3), abs=1e-15
         )
 
     def test_half_period(self):
         a = TwoLevelAtom(1.0, "excited")
-        assert at.susceptibility_c(a, math.pi) == pytest.approx(-0.25, abs=1e-15)
+        assert at.susceptibility_c(a.omega_bd, math.pi) == pytest.approx(-0.25, abs=1e-15)
 
     def test_bounded(self):
         a = TwoLevelAtom(2.5, "ground")
         for dtau in np.linspace(-10, 10, 101):
-            assert abs(at.susceptibility_c(a, dtau)) <= 0.25 + 1e-15
+            assert abs(at.susceptibility_c(a.omega_bd, dtau)) <= 0.25 + 1e-15
 
 
 class TestSusceptibilityChi:
     def test_coincidence(self):
-        assert at.susceptibility_chi(TwoLevelAtom(1.0, "ground"), 0.0) == 0
+        assert at.susceptibility_chi(TwoLevelAtom(1.0, "ground").omega_bd, 0.0) == 0
 
     def test_quarter_period(self):
         a = TwoLevelAtom(1.0, "excited")
-        assert at.susceptibility_chi(a, math.pi / 2) == pytest.approx(
+        assert at.susceptibility_chi(a.omega_bd, math.pi / 2) == pytest.approx(
             0.25j, abs=1e-15
         )
 
     def test_odd(self):
         a = TwoLevelAtom(1.0, "excited")
-        assert at.susceptibility_chi(a, 0.4) == pytest.approx(
-            -at.susceptibility_chi(a, -0.4), abs=1e-15
+        assert at.susceptibility_chi(a.omega_bd, 0.4) == pytest.approx(
+            -at.susceptibility_chi(a.omega_bd, -0.4), abs=1e-15
         )
 
     def test_level_sign_flip(self):
         g = TwoLevelAtom(1.3, "ground")
         e = TwoLevelAtom(1.3, "excited")
         for dtau in (0.2, 1.0, 2.7):
-            assert at.susceptibility_chi(g, dtau) == pytest.approx(
-                -at.susceptibility_chi(e, dtau), abs=1e-15
+            assert at.susceptibility_chi(g.omega_bd, dtau) == pytest.approx(
+                -at.susceptibility_chi(e.omega_bd, dtau), abs=1e-15
             )
 
     def test_bounded(self):
         a = TwoLevelAtom(2.5, "excited")
         for dtau in np.linspace(-10, 10, 101):
-            assert abs(at.susceptibility_chi(a, dtau)) <= 0.25 + 1e-15
+            assert abs(at.susceptibility_chi(a.omega_bd, dtau)) <= 0.25 + 1e-15
 
 
 class TestSusceptibilityForms:
@@ -141,19 +157,19 @@ class TestSusceptibilityForms:
             a = TwoLevelAtom(1.7, level)
             for dtau in np.linspace(-20.0, 20.0, 81):
                 c, chi = self.exponential_forms(a, dtau)
-                assert abs(at.susceptibility_c(a, dtau) - c) <= 1e-15
-                assert abs(at.susceptibility_chi(a, dtau) - chi) <= 1e-15
+                assert abs(at.susceptibility_c(a.omega_bd, dtau) - c) <= 1e-15
+                assert abs(at.susceptibility_chi(a.omega_bd, dtau) - chi) <= 1e-15
 
     def test_complex_dtau(self):
         a = TwoLevelAtom(1.3, "ground")
         dtau = 0.8 - 0.5j
         c, chi = self.exponential_forms(a, dtau)
-        assert at.susceptibility_c(a, dtau) == pytest.approx(c, rel=1e-15, abs=0)
-        assert at.susceptibility_chi(a, dtau) == pytest.approx(chi, rel=1e-15, abs=0)
+        assert at.susceptibility_c(a.omega_bd, dtau) == pytest.approx(c, rel=1e-15, abs=0)
+        assert at.susceptibility_chi(a.omega_bd, dtau) == pytest.approx(chi, rel=1e-15, abs=0)
 
     def test_scalar_dtau_returns_complex(self):
         # One dtau per call, real or complex; the value is a Python complex.
         a = TwoLevelAtom(2.0, "excited")
         for dtau in (0.0, 1.5, np.float64(-2.5), 0.8 - 0.25j):
-            assert type(at.susceptibility_c(a, dtau)) is complex
-            assert type(at.susceptibility_chi(a, dtau)) is complex
+            assert type(at.susceptibility_c(a.omega_bd, dtau)) is complex
+            assert type(at.susceptibility_chi(a.omega_bd, dtau)) is complex

@@ -953,6 +953,21 @@ class TestConfigFile:
         assert last.startswith("diracrates rate: error: ambiguous option: --co")
         assert "--coupling" in last and "--config" in last
 
+    @pytest.mark.parametrize("encode", [
+        lambda text: b"\xef\xbb\xbf" + text.encode(),  # a leading byte-order mark
+        lambda text: text.replace("\n", "\r\n").encode(),  # CRLF line ends
+    ], ids=["bom", "crlf"])
+    def test_config_bom_and_crlf(self, encode, tmp_path, capsys):
+        text = "omega0 = 1.3\naccel = 1\nstate = excited\nformat = json\n"
+        plain, variant = tmp_path / "plain.cfg", tmp_path / "variant.cfg"
+        plain.write_text(text)
+        variant.write_bytes(encode(text))
+        assert run_cli(["rate", "--config", str(plain)]) == 0
+        expected = capsys.readouterr()
+        assert run_cli(["rate", "--config", str(variant)]) == 0
+        assert capsys.readouterr() == expected
+        assert json.loads(expected.out)["omega0"] == 1.3
+
     def test_non_utf8_config_exit_1(self, tmp_path, capsys):
         cfg = tmp_path / "recipe.cfg"
         cfg.write_bytes("omega0 = 2\nstate = excité\n".encode("latin-1"))
@@ -1089,6 +1104,25 @@ def test_readme_error_shapes(argv, code, usage, tmp_path, monkeypatch, capsys):
         assert lines[-1].startswith("diracrates rate: error:")
     else:
         assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("config", [False, True])
+def test_unknown_flag_error_shape(config, tmp_path, monkeypatch, capsys):
+    # README: the top-level parser, not the command's, reports an unknown
+    # flag, and a config key it does not know as the flag it became.
+    monkeypatch.chdir(tmp_path)
+    if config:
+        (tmp_path / "recipe.cfg").write_text("foo = 1\n")
+        argv, named = ["rate", "--config", "recipe.cfg"], "--foo=1"
+    else:
+        argv, named = ["rate", "--foo", "1"], "--foo 1"
+    assert main_exit(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "usage: diracrates [-h] {rate,sweep,verify,selfcheck} ...",
+        f"diracrates: error: unrecognized arguments: {named}",
+    ]
 
 
 @pytest.mark.parametrize(

@@ -86,15 +86,15 @@ def sums_cut_at_y_of_s(omega0, a):
     s, h, nodes = (got[0][2][key] for key in ("s", "h", "nodes"))
     n, n_former = nodes // 4, math.ceil(y_of_s(s) / (2.0 * h))
     line = correlators.WorldlineParams(2.0, epsilon=s)
-    scaled = [TwoLevelAtom(2.0 * omega0 / a, atom.level) for atom in levels]
+    scaled = [2.0 * atom.omega_bd / a for atom in levels]
     # extra[level][parity][integrand]: Re f at the nodes beyond the one Y
     extra = [[[[], []], [[], []]] for _ in levels]
     for k in range(2 * n + 1, 2 * n_former + 1):
         u = k * h
         g, z = correlators.trace_pair(u, line), u - 1j * s
-        for terms, atom in zip(extra, scaled):
-            terms[k % 2][0].append((g * susceptibility_c(atom, z)).real)
-            terms[k % 2][1].append((g * susceptibility_chi(atom, z)).real)
+        for terms, w in zip(extra, scaled):
+            terms[k % 2][0].append((g * susceptibility_c(w, z)).real)
+            terms[k % 2][1].append((g * susceptibility_chi(w, z)).real)
     for (t_h, t_2h, _), (even, odd) in zip(got, extra):
         ref_h = [t + 2.0 * h * (math.fsum(e) + math.fsum(o))
                  for t, e, o in zip(t_h, even, odd)]
@@ -186,20 +186,20 @@ class TestCrossIntegral:
     def test_integrands_conjugate_symmetric(self):
         # f(-u) = conj f(u) for both integrands on the oracle's line u - i s,
         # so the sums over u >= 0 give the real integrals.
-        def integrands(u, line, scaled):
+        def integrands(u, line, w):
             g = correlators.trace_pair(u, line)
             z = u - 1j * line.epsilon
-            return g * susceptibility_c(scaled, z), g * susceptibility_chi(scaled, z)
+            return g * susceptibility_c(w, z), g * susceptibility_chi(w, z)
 
         for a in (1e-3, 1.0, 1e6):
             _, _, grid = oracle._line_sums(TwoLevelAtom(1.0, "ground"), a)
             s, h = grid["s"], grid["h"]
             line = correlators.WorldlineParams(2.0, epsilon=s)
             for level in ("ground", "excited"):
-                scaled = TwoLevelAtom(2.0 / a, level)
+                w = 2.0 * TwoLevelAtom(1.0, level).omega_bd / a
                 for k in (1, 2, 7, 50, 333):
-                    pairs = zip(integrands(-k * h, line, scaled),
-                                integrands(k * h, line, scaled))
+                    pairs = zip(integrands(-k * h, line, w),
+                                integrands(k * h, line, w))
                     for f_minus, f_plus in pairs:
                         assert f_minus == pytest.approx(
                             f_plus.conjugate(), rel=1e-15, abs=0

@@ -1,4 +1,4 @@
-"""The package's four records are plain tuples with names: equal, hashed,
+"""The package's five records are plain tuples with names: equal, hashed,
 copied and pickled as the tuple of their fields, in a fixed field order."""
 import copy
 import math
@@ -15,6 +15,7 @@ from diracrates.selfcheck import CheckResult
 def records():
     """One instance of each record, built the way the package builds it."""
     return [
+        TwoLevelAtom(2.0, "excited"),
         rate_total(TwoLevelAtom(2.0, "excited"), 3.0, 0.5),
         WorldlineParams(2.0, 1.0),
         verify_rates(TwoLevelAtom(1.0), 3.0, 1.0, tol=1e-3),
@@ -23,6 +24,7 @@ def records():
 
 
 FIELDS = {
+    "TwoLevelAtom": ("omega0", "level"),
     "RateBreakdown": ("accel", "vf", "cross", "total", "poly_factor", "planck_n",
                       "effective_temperature"),
     "WorldlineParams": ("accel", "epsilon"),
