@@ -41,6 +41,9 @@ MAX_POINTS = 1_000_000
 # The split's pipe and --output move bytes in chunks of a pipe's capacity:
 # with the default buffer, st_blksize (often 4 KiB), they are ~1.5x slower.
 CHUNK = 1 << 16
+# A split sweep's child makes sure its parent lives before each block of
+# this many rows (~45 ms of work), and so exits soon after the parent dies.
+ORPHAN_CHECK_ROWS = 10_000
 
 # The source-field-only contribution is higher order in the coupling; `rate`
 # reports it as 0 with this note.
@@ -170,21 +173,6 @@ def _sweep_grid(
     return itertools.chain(head, rows, [amax] if last in indices else [])
 
 
-def _exit_when_unread(w: int) -> None:
-    """Start a thread that ends this process once the pipe end `w` has no
-    reader left, as when the process reading it is killed."""
-    import select
-    import threading
-
-    def watch():
-        poller = select.poll()
-        poller.register(w, 0)  # POLLERR is reported unasked
-        if any(events & select.POLLERR for _, events in poller.poll()):
-            os._exit(1)
-
-    threading.Thread(target=watch, daemon=True).start()
-
-
 def _lines_in_two(
     lines: Callable[[int, int], list[bytes]], k: int, n: int
 ) -> list[bytes]:
@@ -195,12 +183,15 @@ def _lines_in_two(
     Errors are not sent over: if the child cannot deliver all of its lines,
     this process runs lines(k, n) itself, and so raises what the child
     raised. An error in lines(0, k) kills the child and is raised first.
-    If this process is killed, the child exits once it sees the pipe unread.
+    The child builds its half in blocks of ORPHAN_CHECK_ROWS, so `lines`
+    must give each row from its index alone. If this process is killed,
+    the child exits at its next block.
     """
     try:
         r, w = os.pipe()
     except OSError:
         return lines(0, k) + lines(k, n)
+    parent = os.getpid()
     try:
         pid = os.fork()
     except OSError:
@@ -211,9 +202,13 @@ def _lines_in_two(
         code = 1
         try:
             os.close(r)
-            _exit_when_unread(w)
+            half = []
+            for lo in range(k, n, ORPHAN_CHECK_ROWS):
+                if os.getppid() != parent:  # orphaned: no one will read the pipe
+                    os._exit(1)
+                half += lines(lo, min(lo + ORPHAN_CHECK_ROWS, n))
             with open(w, "wb", buffering=CHUNK) as out:
-                out.writelines(lines(k, n))
+                out.writelines(half)
             code = 0
         finally:
             os._exit(code)  # neither returns to the caller nor flushes its files
@@ -232,8 +227,8 @@ def _lines_in_two(
         os.close(r)
         try:
             status = os.waitpid(pid, 0)[1]
-        except ChildProcessError:  # reaped already, where SIGCHLD is ignored
-            status = -1
+        except ChildProcessError:  # reaped already, where SIGCHLD is ignored:
+            status = 0  # the line count tells, as the child writes only a whole half
     if status != 0 or sum(c.count(b"\n") for c in chunks) != n - k:
         return head + lines(k, n)
     return head + chunks
@@ -408,6 +403,8 @@ def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = parser.parse_args(_with_config(argv, parser))
+        if sys.stdout is None and getattr(args, "output", None) is None:
+            raise OSError("stdout is closed")  # as by `>&-`
         return args.func(args)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -7,6 +7,7 @@ import json
 import math
 import os
 import re
+import select
 import shlex
 import signal
 import subprocess
@@ -387,15 +388,6 @@ def no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-def running(pid):
-    """Whether process `pid` exists and is not a zombie, from /proc."""
-    try:
-        stat = Path(f"/proc/{pid}/stat").read_text()
-    except FileNotFoundError:
-        return False
-    return stat.rpartition(")")[2].split()[0] != "Z"
-
-
 class TestSweepSplit:
     """From SPLIT_MIN_POINTS on, a forked child does the upper half of the
     rows. The CPU count is forced to 2, so that these run on any machine."""
@@ -514,11 +506,12 @@ class TestSweepSplit:
         )
         assert not out.exists()
 
+    LOG_ARGV = ["sweep", "--accel-min", "0.1", "--accel-max", "1e4", "--scale", "log",
+                "--points", str(N + 1), "--state", "excited"]
+
     def expected_csv(self, tmp_path):
-        argv = ["sweep", "--accel-min", "0.1", "--accel-max", "1e4", "--scale", "log",
-                "--points", str(self.N + 1), "--state", "excited"]
         out = tmp_path / "sweep.csv"
-        assert run_cli(argv + ["--output", str(out)]) == 0
+        assert run_cli(self.LOG_ARGV + ["--output", str(out)]) == 0
         return out.read_bytes(), self.reference(1.0, 0.1, 1e4, self.N + 1, "log",
                                                 "excited", 1.0).encode()
 
@@ -575,36 +568,100 @@ class TestSweepSplit:
         n = self.N + 1
         assert parent_ranges == [range(0, n // 2), range(n // 2, n)]
 
+    def test_ignored_sigchld_keeps_child_half(self, tmp_path):
+        # Where SIGCHLD is ignored, as it stays across exec, the child is
+        # reaped unasked and its exit status is lost. Its lines are all
+        # there, so this process must not compute them again.
+        out = tmp_path / "sweep.csv"
+        argv = self.LOG_ARGV + ["--output", str(out)]
+        probe = f"""
+import signal, sys
+from diracrates import cli
+signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+cli._usable_cpus = lambda: 2
+ranges, grid = [], cli._sweep_grid
+def recording(amin, amax, points, scale, indices):
+    ranges.append((indices.start, indices.stop))
+    return grid(amin, amax, points, scale, indices)
+cli._sweep_grid = recording
+print([cli.main({argv!r}), ranges])
+"""
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                              text=True, env=env, check=True)
+        n = self.N + 1
+        assert ast.literal_eval(proc.stdout) == [0, [(0, n // 2)]]
+        assert out.read_bytes() == self.reference(1.0, 0.1, 1e4, n, "log", "excited",
+                                                  1.0).encode()
+
+    def test_child_starts_no_thread(self, tmp_path):
+        # The child checks on its parent in its own loop: any thread started
+        # in the probe, parent or child, leaves the marker file.
+        marker = tmp_path / "thread-started"
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--accel-max", "10", "--points", str(self.N),
+                "--output", str(out)]
+        probe = f"""
+import sys, threading
+from diracrates import cli
+cli._usable_cpus = lambda: 2
+start = threading.Thread.start
+def marking_start(self):
+    open({str(marker)!r}, "w").close()
+    start(self)
+threading.Thread.start = marking_start
+sys.exit(cli.main({argv!r}))
+"""
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+        subprocess.run([sys.executable, "-c", probe], env=env, check=True)
+        assert out.read_text().count("\n") == self.N + 1
+        assert not marker.exists()
+
     def test_child_exits_with_killed_parent(self, tmp_path):
         # SIGKILL leaves the parent no chance to kill its child, whose half
         # of a 1e6-point sweep takes seconds: the child must end by itself.
+        # The probe prints its child's pid. Only the probe and its child hold
+        # the pipe's write end, so the child's exit, not its reaping, ends
+        # the pipe with EOF.
         argv = ["sweep", "--accel-max", "2", "--points", "1000000",
                 "--output", str(tmp_path / "sweep.csv")]
-        probe = ("import sys\nfrom diracrates import cli\n"
-                 f"cli._usable_cpus = lambda: 2\nsys.exit(cli.main({argv!r}))\n")
+        probe = f"""
+import os, sys
+from diracrates import cli
+cli._usable_cpus = lambda: 2
+fork = os.fork
+def reporting_fork():
+    pid = fork()
+    if pid:
+        print(pid, flush=True)
+    return pid
+os.fork = reporting_fork
+sys.exit(cli.main({argv!r}))
+"""
         env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
-        proc = subprocess.Popen([sys.executable, "-c", probe], env=env)
-        children = Path(f"/proc/{proc.pid}/task/{proc.pid}/children")
+        r, w = os.pipe()
+        try:
+            proc = subprocess.Popen([sys.executable, "-c", probe], env=env,
+                                    stdout=subprocess.PIPE, pass_fds=[w])
+        finally:
+            os.close(w)
         child = None
         try:
-            if not children.exists():
-                pytest.skip("/proc does not list a process's children")
-            deadline = time.monotonic() + 30
-            while not (pids := children.read_text().split()):
-                assert proc.poll() is None and time.monotonic() < deadline
-                time.sleep(0.005)
-            (child,) = map(int, pids)
+            child = int(proc.stdout.readline())
             proc.kill()
             proc.wait()
-            deadline = time.monotonic() + 2
-            while running(child):
-                assert time.monotonic() < deadline, "the child outlived its parent"
-                time.sleep(0.01)
+            readable, _, _ = select.select([r], [], [], 2)
+            assert readable, "the child outlived its parent"
+            assert os.read(r, 1) == b""
+            child = None
         finally:
             proc.kill()
             proc.wait()
-            if child is not None and running(child):
-                os.kill(child, signal.SIGKILL)
+            proc.stdout.close()
+            os.close(r)
+            if child is not None:
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(child, signal.SIGKILL)
 
 
 @pytest.mark.parametrize("count, usable", [(3, 3), (None, 1)])
@@ -1332,3 +1389,28 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["rate_total"] == 0.0
+
+    @pytest.mark.parametrize(
+        "argv, code, err",
+        [
+            (["rate"], 1, "error: stdout is closed\n"),
+            (["verify", "--accel", "1"], 1, "error: stdout is closed\n"),
+            (["selfcheck"], 1, "error: stdout is closed\n"),
+            (["sweep", "--accel-max", "1", "--points", "3"], 1,
+             "error: stdout is closed\n"),
+            (["sweep", "--accel-max", "1", "--points", "3", "--output", "sweep.csv"],
+             0, ""),
+        ],
+        ids=["rate", "verify", "selfcheck", "sweep", "sweep-output"],
+    )
+    def test_closed_stdout(self, argv, code, err, tmp_path):
+        # With fd 1 closed, as by `>&-`, sys.stdout is None: a command that
+        # prints exits 1 with one error line, as when a write to stdout fails.
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "diracrates", *argv], stderr=subprocess.PIPE,
+            text=True, env=env, cwd=tmp_path, preexec_fn=lambda: os.close(1),
+        )
+        assert (proc.returncode, proc.stderr) == (code, err)
+        if "--output" in argv:
+            assert (tmp_path / "sweep.csv").read_text().count("\n") == 4
