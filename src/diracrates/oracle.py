@@ -45,25 +45,24 @@ class OracleReport(namedtuple("OracleReport", (
     __slots__ = ()
 
 
-def _line_sums(atom: TwoLevelAtom, a: float) -> tuple[list, list, dict]:
-    """Trapezoid sums of the vf and cross integrals in u = a dtau/2, before
-    the scale -mu^2 omega_bd (a/2)^5.
-
-    On the line u - i s the trace at acceleration a is (a/2)^6 times the
-    trace at acceleration 2 and dtau = u, regulator s; the susceptibilities
-    take the frequency w = 2 omega_bd / a and dtau = u - i s.  Factoring
-    out (a/2)^6 keeps the sums in double range for any a.  i W sin keeps
-    the cross sum accurate for a >> omega, where the integrals at +-omega
-    agree to about log10(a/omega) digits.  The shift
-    s = min(pi/2, 3a/|omega|) keeps |Im(omega dtau)| <= 6; h = s/10 takes ten
-    steps to the pole and, as |w| h <= 0.6, ten a period.
-    Both integrands satisfy f(-u) = conj f(u), as sinh, cos and i sin of
-    -u - i s are -+ the conjugates of theirs at u - i s, so only u >= 0 is
-    evaluated: Re f weighted 1 at u = 0 and 2 elsewhere.
-    Returns the [vf, cross] sums at steps h and 2h (even-indexed nodes)
-    and the grid.
+def _line_sums(omega0: float, a: float) -> tuple[list, list, dict]:
+    """Trapezoid sums of the vf and cross integrals in u = a dtau/2, before the
+    scale -mu^2 omega0 (a/2)^5.  The line depends on omega0 and a alone: the
+    ground level's omega_bd = -omega0 negates the odd chi, not the even C, and
+    the scale, so its vf alone changes sign.  On the line u - i s the trace at
+    acceleration a is (a/2)^6 times the trace at acceleration 2 and dtau = u,
+    regulator s; the susceptibilities take the frequency w = 2 omega0 / a and
+    dtau = u - i s.  Factoring out (a/2)^6 keeps the sums in double range for
+    any a.  i W sin keeps the cross sum accurate for a >> omega, where the
+    integrals at +-omega agree to about log10(a/omega) digits.  The shift
+    s = min(pi/2, 3a/omega0) keeps |Im(omega dtau)| <= 6; h = s/10 takes ten
+    steps to the pole and, as w h <= 0.6, ten a period.  Both integrands
+    satisfy f(-u) = conj f(u), as sinh, cos and i sin of -u - i s are -+ the
+    conjugates of theirs at u - i s, so only u >= 0 is evaluated: Re f
+    weighted 1 at u = 0 and 2 elsewhere.  Returns the [vf, cross] sums at
+    steps h and 2h (even-indexed nodes) and the grid.
     """
-    s = min(math.pi / 2, 3.0 * a / atom.omega0)
+    s = min(math.pi / 2, 3.0 * a / omega0)
     h = 0.1 * s
     # For subnormal a, h underflows to 0 or the node count leaves float
     # range; a count with no float value is reported as null.
@@ -77,7 +76,7 @@ def _line_sums(atom: TwoLevelAtom, a: float) -> tuple[list, list, dict]:
             f"quadrature needs {count} nodes, above the limit {_MAX_NODES}", grid
         )
     line = correlators.WorldlineParams(2.0, epsilon=s)
-    w = 2.0 * atom.omega_bd / a
+    w = 2.0 * omega0 / a
 
     def sums(ks: range) -> list:
         # fsum of Re f over u = k h, k in ks, for the vf and the cross integrand
@@ -118,9 +117,9 @@ def verify_rates(
             f"rates underflow to subnormal or zero at omega0={atom.omega0}, "
             f"a={a}, mu={mu}"
         )
-    t_h, t_2h, grid = _line_sums(atom, a)
-    # The scale -mu^2 omega_bd (a/2)^5 from mantissas and one power of two.
-    (mu_m, mu_e), (w_m, w_e) = math.frexp(mu), math.frexp(atom.omega_bd)
+    t_h, t_2h, grid = _line_sums(atom.omega0, a)
+    # The scale -mu^2 omega0 (a/2)^5 from mantissas and one power of two.
+    (mu_m, mu_e), (w_m, w_e) = math.frexp(mu), math.frexp(atom.omega0)
     h_m, h_e = math.frexp(a / 2.0)
     pref, shift = -mu_m * mu_m * w_m * h_m * h_m * h_m * h_m, 2 * mu_e + w_e + 5 * h_e
     try:
@@ -129,6 +128,8 @@ def verify_rates(
         ]
     except OverflowError:
         raise OverflowError("quadrature value out of double range") from None
+    if atom.omega_bd < 0:  # ground: -mu^2 omega_bd negates vf (see _line_sums)
+        vf, vf_2h = -vf, -vf_2h
     quadrature = {
         **grid,
         "error_estimate_vf": abs(vf - vf_2h),
@@ -139,7 +140,7 @@ def verify_rates(
         if estimate > tol * abs(value):
             raise ConvergenceError(
                 f"{name} error estimate {estimate:.3e} exceeds tol "
-                f"{tol:.1e} x |{value:.6e}|",
+                f"{tol:.1e} x |{abs(value):.6e}|",
                 quadrature,
             )
     rel_err_vf = abs(vf - closed.vf) / abs(closed.vf)

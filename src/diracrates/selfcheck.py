@@ -78,11 +78,12 @@ def check_boost_group() -> CheckResult:
 
 
 def check_two_point_vs_trace() -> CheckResult:
-    """Tr[g g] of the transported two-point matrix at tau = dtau/2 and
-    tau' = -dtau/2 vs the trace pair at dtau."""
+    """Tr[g g] of the transported two-point matrix at tau, tau' = T +- dtau/2
+    with aT = 1, where dx is not ~epsilon, vs the trace pair at dtau."""
     devs = []
     for params, dtau in _trace_grid():
-        g = correlators.g_matrix_from_worldline(0.5 * dtau, -0.5 * dtau, params)
+        t = 1.0 / params.accel
+        g = correlators.g_matrix_from_worldline(t + 0.5 * dtau, t - 0.5 * dtau, params)
         tr = sum([x * y for row, col in zip(g, zip(*g)) for x, y in zip(row, col)])
         expected = correlators.trace_pair(dtau, params)
         devs.append(abs(tr - expected) / abs(expected))

@@ -568,6 +568,16 @@ class TestSweepSplit:
         n = self.N + 1
         assert parent_ranges == [range(0, n // 2), range(n // 2, n)]
 
+    def test_child_status_not_read(self, monkeypatch, parent_ranges, tmp_path):
+        # The child sends its whole half and then exits 1: its line count,
+        # not its exit status, tells that this process need not compute
+        # that half again.
+        exit_ = os._exit
+        monkeypatch.setattr(os, "_exit", lambda code: exit_(1))
+        got, expected = self.expected_csv(tmp_path)
+        assert got == expected
+        assert parent_ranges == [range(0, (self.N + 1) // 2)]
+
     def test_ignored_sigchld_keeps_child_half(self, tmp_path):
         # Where SIGCHLD is ignored, as it stays across exec, the child is
         # reaped unasked and its exit status is lost. Its lines are all
@@ -726,6 +736,15 @@ class TestVerify:
         assert code == 3
         assert "CONVERGENCE" in capsys.readouterr().out
 
+    def test_convergence_message_same_for_both_levels(self, capsys):
+        # The levels' vf differ only in sign, and the message prints its
+        # magnitude between the bars.
+        assert run_cli(["verify", "--accel", "0.1", "--tol", "1e-12"]) == 3
+        ground, excited, _ = capsys.readouterr().out.splitlines()
+        message = "vf error estimate 1.650e-14 exceeds tol 1.0e-12 x |7.057711e-05|"
+        assert ground == f"accel=0.1 state=ground   CONVERGENCE ERROR: {message}"
+        assert excited == f"accel=0.1 state=excited  CONVERGENCE ERROR: {message}"
+
     def test_quadrature_block(self, capsys):
         code = run_cli(
             ["verify", "--accel", "1", "--state", "excited", "--format", "json"]
@@ -753,7 +772,7 @@ class TestVerify:
         # Sums that overflow once scaled by -mu^2 omega_bd (a/2)^5 = -500^5.
         grid = {"s": 1.0, "h": 0.1, "nodes": 1, "Y": 1.0}
         monkeypatch.setattr(oracle, "_line_sums",
-                            lambda atom, a: ([1e308] * 2, [1e308] * 2, grid))
+                            lambda omega0, a: ([1e308] * 2, [1e308] * 2, grid))
         assert main_exit(["verify", "--accel", "1e3", "--format", "json"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -1,11 +1,11 @@
-"""Seeded mutants of the closed forms: which of them `verify` catches.
+"""Seeded mutants: which of them `verify` or `selfcheck` catches.
 
-Each mutant changes one number that the closed-form rates use, in process,
-and `cli.main(["verify", ...])` runs against it.  A constant is patched on
-every module that reads it; a literal inside `rate_rows` is changed in an
-`ast`-edited copy of `rates`, exec'd under its name and bound where the CLI
-and the oracle look it up.  A mutant that `verify` passes is listed as an
-expected survivor, with its reason.
+Each mutant changes one number, in process, and `cli.main(["verify", ...])`
+or `cli.main(["selfcheck"])` runs against it.  A constant is patched on
+every module that reads it; a literal is changed in an `ast`-edited copy of
+its module, exec'd under its name and bound where its readers look it up.
+A mutant that `verify` passes is listed as an expected survivor, with its
+reason.
 """
 import ast
 import contextlib
@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from diracrates import atom, cli, oracle, rates
+from diracrates import atom, cli, correlators, oracle, rates, selfcheck
 from diracrates.atom import TwoLevelAtom
 
 
@@ -34,19 +34,20 @@ class _Replace(ast.NodeTransformer):
         return super().visit(node)
 
 
-def literal(old, new):
-    """A mutant that reads `new` for the one expression `old` of `rates`."""
+def literal(old, new, module=rates, readers=(cli, oracle)):
+    """A mutant that reads `new` for the one expression `old` of `module`,
+    bound as `module` in each of `readers`."""
     def apply(monkeypatch):
         replace = _Replace(old, new)
-        tree = ast.fix_missing_locations(
-            replace.visit(ast.parse(Path(rates.__file__).read_text(encoding="utf-8"))))
+        source = Path(module.__file__).read_text(encoding="utf-8")
+        tree = ast.fix_missing_locations(replace.visit(ast.parse(source)))
         assert replace.count == 1, f"{old!r} found {replace.count} times"
-        spec = importlib.util.spec_from_file_location(rates.__name__, rates.__file__)
+        spec = importlib.util.spec_from_file_location(module.__name__, module.__file__)
         mutant = importlib.util.module_from_spec(spec)
-        exec(compile(tree, rates.__file__, "exec"), mutant.__dict__)
-        monkeypatch.setitem(sys.modules, rates.__name__, mutant)
-        monkeypatch.setattr(cli, "rates", mutant)
-        monkeypatch.setattr(oracle, "rates", mutant)
+        exec(compile(tree, module.__file__, "exec"), mutant.__dict__)
+        monkeypatch.setitem(sys.modules, module.__name__, mutant)
+        for reader in readers:
+            monkeypatch.setattr(reader, module.__name__.rpartition(".")[2], mutant)
     return apply
 
 
@@ -108,3 +109,16 @@ def test_verify_tol_1e_5(name, monkeypatch):
 @pytest.mark.parametrize("tol", ["1e-5", "1e-6"])
 def test_unmutated_passes_tight_tol(tol):
     assert verify("--tol", tol) == cli.EXIT_OK
+
+
+def test_selfcheck_sees_two_point_gamma1(monkeypatch, capsys):
+    # dG_dx's 2.0 times 1 + 1e-6: the gamma^1 part of the two-point matrix.
+    # At tau' = -tau that part carries ~1e-6 of the trace and the change went
+    # unseen; shifted to aT = 1 it moves the trace by ~3e-6, above 1e-10.
+    literal("-dx / (2.0 * _PI2 * sigma * sigma)",
+            "-dx / (2.000002 * _PI2 * sigma * sigma)",
+            correlators, [selfcheck])(monkeypatch)
+    assert cli.main(["selfcheck"]) == 4
+    captured = capsys.readouterr()
+    assert captured.err == "identity violated: two-point matrix vs trace\n"
+    assert captured.out.count("FAIL") == 1

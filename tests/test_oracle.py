@@ -18,8 +18,7 @@ QUADRATURE_KEYS = {
 class TestShiftedLine:
     def test_default_grid(self):
         for a in (1e-3, 0.1, 1.0, 100.0):
-            _, _, grid = oracle._line_sums(TwoLevelAtom(1.0, "excited"), a)
-            assert oracle._line_sums(TwoLevelAtom(1.0, "ground"), a)[2] == grid
+            _, _, grid = oracle._line_sums(1.0, a)
             assert grid["s"] == min(math.pi / 2, 3 * a)
             assert grid["h"] == pytest.approx(0.1 * grid["s"])
             assert grid["nodes"] % 4 == 1
@@ -32,20 +31,20 @@ class TestShiftedLine:
 
     @pytest.mark.parametrize("omega0", [0.37, 1.0, 8.0])
     def test_levels_mirror(self, omega0):
-        # The levels differ only in the sign of omega_bd: the same grid, the
-        # same vf sums, and cross sums of the opposite sign, bit for bit.
+        # The levels differ only in the sign of omega_bd: the ground level's
+        # own line has the same vf sums and cross sums of the opposite sign,
+        # bit for bit, so the oracle integrates one line for both.
         for ratio in (1e-3, 1e-2, 0.1, 1.0, 10.0, 1e3, 1e6):
             a = ratio * omega0
-            g_h, g_2h, g_grid = oracle._line_sums(TwoLevelAtom(omega0, "ground"), a)
-            e_h, e_2h, e_grid = oracle._line_sums(TwoLevelAtom(omega0, "excited"), a)
-            assert g_grid == e_grid
+            g_h, g_2h = ground_line_sums(omega0, a)
+            e_h, e_2h, _ = oracle._line_sums(omega0, a)
             for (g_vf, g_cross), (e_vf, e_cross) in ((g_h, e_h), (g_2h, e_2h)):
                 assert g_vf == e_vf
                 assert g_cross == -e_cross
 
     def test_node_limit(self):
         with pytest.raises(ConvergenceError) as err:
-            oracle._line_sums(TwoLevelAtom(1.0, "excited"), 1e-5)
+            oracle._line_sums(1.0, 1e-5)
         assert err.value.diagnostics["nodes"] > oracle._MAX_NODES
 
     @pytest.mark.parametrize("a, count", [(4e-5, "1.2e+06"), (1e-300, "4.81e+301")])
@@ -70,6 +69,33 @@ class TestShiftedLine:
         assert set(err.value.diagnostics) == {"s", "h", "nodes", "Y"}
 
 
+def ground_line_sums(omega0, a):
+    """The [vf, cross] sums at steps h and 2h of the ground level's own line,
+    at w = -2 omega0 / a: the oracle's node loop as it was when each level
+    integrated its own line."""
+    s = min(math.pi / 2, 3.0 * a / omega0)
+    h = 0.1 * s
+    n = math.ceil(oracle._Y / (2.0 * h))
+    line = correlators.WorldlineParams(2.0, epsilon=s)
+    w = -2.0 * omega0 / a
+
+    def sums(ks):
+        vf, cross = [], []
+        for k in ks:
+            u = k * h
+            g = correlators.trace_pair(u, line)
+            z = u - 1j * s
+            vf.append((g * susceptibility_c(w, z)).real)
+            cross.append((g * susceptibility_chi(w, z)).real)
+        return [math.fsum(vf), math.fsum(cross)]
+
+    zero = sums(range(1))
+    even, odd = sums(range(2, 2 * n + 1, 2)), sums(range(1, 2 * n, 2))
+    t_h = [h * (z + 2.0 * (e + o)) for z, e, o in zip(zero, even, odd)]
+    t_2h = [2.0 * h * (z + 2.0 * e) for z, e in zip(zero, even)]
+    return t_h, t_2h
+
+
 def y_of_s(s):
     """The former cut-off, where 64 e^{-6|u|} falls below _TAIL sin^6 s:
     beyond the oracle's one Y for s < pi/2, and equal to it at pi/2."""
@@ -77,29 +103,26 @@ def y_of_s(s):
 
 
 def sums_cut_at_y_of_s(omega0, a):
-    """For each level, the oracle's [vf, cross] sums at steps h and 2h; the
-    same on the grid cut at y_of_s, as the oracle's sums plus the nodes
-    between the two cut-offs (both levels share each trace); and the number
-    of those extra nodes."""
-    levels = [TwoLevelAtom(omega0, level) for level in ("ground", "excited")]
-    got = [oracle._line_sums(atom, a) for atom in levels]
-    s, h, nodes = (got[0][2][key] for key in ("s", "h", "nodes"))
+    """The oracle's [vf, cross] sums at steps h and 2h; the same on the grid
+    cut at y_of_s, as the oracle's sums plus the nodes between the two
+    cut-offs; and the number of those extra nodes."""
+    t_h, t_2h, grid = oracle._line_sums(omega0, a)
+    s, h, nodes = grid["s"], grid["h"], grid["nodes"]
     n, n_former = nodes // 4, math.ceil(y_of_s(s) / (2.0 * h))
     line = correlators.WorldlineParams(2.0, epsilon=s)
-    scaled = [2.0 * atom.omega_bd / a for atom in levels]
-    # extra[level][parity][integrand]: Re f at the nodes beyond the one Y
-    extra = [[[[], []], [[], []]] for _ in levels]
+    w = 2.0 * omega0 / a
+    # extra[parity][integrand]: Re f at the nodes beyond the one Y
+    extra = [[[], []], [[], []]]
     for k in range(2 * n + 1, 2 * n_former + 1):
         u = k * h
         g, z = correlators.trace_pair(u, line), u - 1j * s
-        for terms, w in zip(extra, scaled):
-            terms[k % 2][0].append((g * susceptibility_c(w, z)).real)
-            terms[k % 2][1].append((g * susceptibility_chi(w, z)).real)
-    for (t_h, t_2h, _), (even, odd) in zip(got, extra):
-        ref_h = [t + 2.0 * h * (math.fsum(e) + math.fsum(o))
-                 for t, e, o in zip(t_h, even, odd)]
-        ref_2h = [t + 4.0 * h * math.fsum(e) for t, e in zip(t_2h, even)]
-        yield (t_h, t_2h), (ref_h, ref_2h), 4 * n_former + 1 - nodes
+        extra[k % 2][0].append((g * susceptibility_c(w, z)).real)
+        extra[k % 2][1].append((g * susceptibility_chi(w, z)).real)
+    even, odd = extra
+    ref_h = [t + 2.0 * h * (math.fsum(e) + math.fsum(o))
+             for t, e, o in zip(t_h, even, odd)]
+    ref_2h = [t + 4.0 * h * math.fsum(e) for t, e in zip(t_2h, even)]
+    return (t_h, t_2h), (ref_h, ref_2h), 4 * n_former + 1 - nodes
 
 
 class TestCutOff:
@@ -110,10 +133,10 @@ class TestCutOff:
     def test_one_cut_off(self):
         y = math.log(64.0 / oracle._TAIL) / 6.0
         for a in (1e-3, 0.1, math.pi / 6, 1e6):
-            assert oracle._line_sums(TwoLevelAtom(1.0, "excited"), a)[2]["Y"] == y
+            assert oracle._line_sums(1.0, a)[2]["Y"] == y
         for a in (1e-300, 1e-5):
             with pytest.raises(ConvergenceError) as err:
-                oracle._line_sums(TwoLevelAtom(1.0, "excited"), a)
+                oracle._line_sums(1.0, a)
             assert err.value.diagnostics["Y"] == y
 
     @pytest.mark.parametrize("omega0, ratio", [
@@ -121,30 +144,26 @@ class TestCutOff:
         (0.37, 0.3),
     ])
     def test_matches_former_cut_off(self, omega0, ratio):
-        for got, ref, extra in sums_cut_at_y_of_s(omega0, ratio * omega0):
-            assert extra > 0
-            for sums, ref_sums in zip(got, ref):
-                for value, expected in zip(sums, ref_sums):
-                    assert abs(value - expected) <= 1e-15 * abs(expected)
+        got, ref, extra = sums_cut_at_y_of_s(omega0, ratio * omega0)
+        assert extra > 0
+        for sums, ref_sums in zip(got, ref):
+            for value, expected in zip(sums, ref_sums):
+                assert abs(value - expected) <= 1e-15 * abs(expected)
 
-    # [vf, cross] at steps h and 2h at the ground level, as the former Y(s)
-    # cut-off gave them; the excited level negates cross.
+    # [vf, cross] at steps h and 2h, as the former Y(s) cut-off gave them;
+    # the ground level's own line would negate cross.
     @pytest.mark.parametrize("omega0, a, t_h, t_2h", [
-        (1.0, math.pi / 6, [0.1459533702439487, -0.14595157671796757],
-         [0.14595366698517673, -0.14595187345554914]),
-        (0.37, 1.0, [0.004552846539259971, -0.003741606715403435],
-         [0.004552846593851397, -0.0037416067602675973]),
-        (8.0, 1e3, [0.0027383907051362994, -6.880877778982343e-05],
-         [0.002738390725664197, -6.880877830563717e-05]),
+        (1.0, math.pi / 6, [0.1459533702439487, 0.14595157671796757],
+         [0.14595366698517673, 0.14595187345554914]),
+        (0.37, 1.0, [0.004552846539259971, 0.003741606715403435],
+         [0.004552846593851397, 0.0037416067602675973]),
+        (8.0, 1e3, [0.0027383907051362994, 6.880877778982343e-05],
+         [0.002738390725664197, 6.880877830563717e-05]),
     ])
     def test_grid_and_sums_unchanged_above_pi_over_6(self, omega0, a, t_h, t_2h):
         s = math.pi / 2
         former_grid = {"s": s, "h": 0.1 * s, "nodes": 93, "Y": y_of_s(s)}
-        for level, sign in (("ground", 1.0), ("excited", -1.0)):
-            got = oracle._line_sums(TwoLevelAtom(omega0, level), a)
-            assert got[2] == former_grid
-            assert got[0] == [t_h[0], sign * t_h[1]]
-            assert got[1] == [t_2h[0], sign * t_2h[1]]
+        assert oracle._line_sums(omega0, a) == (t_h, t_2h, former_grid)
 
 
 class TestVfIntegral:
@@ -168,7 +187,7 @@ class TestVfIntegral:
 
     def test_truncation_point_is_quiet(self):
         for a in (1e-3, 1.0, 1e6):
-            _, _, grid = oracle._line_sums(TwoLevelAtom(1.0, "excited"), a)
+            _, _, grid = oracle._line_sums(1.0, a)
             s, u_max = grid["s"], (grid["nodes"] // 2) * grid["h"]
             assert u_max >= grid["Y"]
             tail = abs(cmath.sinh(u_max - 1j * s)) ** -6
@@ -192,7 +211,7 @@ class TestCrossIntegral:
             return g * susceptibility_c(w, z), g * susceptibility_chi(w, z)
 
         for a in (1e-3, 1.0, 1e6):
-            _, _, grid = oracle._line_sums(TwoLevelAtom(1.0, "ground"), a)
+            _, _, grid = oracle._line_sums(1.0, a)
             s, h = grid["s"], grid["h"]
             line = correlators.WorldlineParams(2.0, epsilon=s)
             for level in ("ground", "excited"):
@@ -254,7 +273,7 @@ class TestVerifyRates:
         # Sums that overflow once scaled by -mu^2 omega_bd (a/2)^5 = -500^5.
         grid = {"s": 1.0, "h": 0.1, "nodes": 1, "Y": 1.0}
         monkeypatch.setattr(oracle, "_line_sums",
-                            lambda atom, a: ([1e308] * 2, [1e308] * 2, grid))
+                            lambda omega0, a: ([1e308] * 2, [1e308] * 2, grid))
         with pytest.raises(OverflowError) as err:
             oracle.verify_rates(TwoLevelAtom(1.0, "ground"), 1e3, 1.0, tol=1e-3)
         assert str(err.value) == "quadrature value out of double range"

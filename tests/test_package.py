@@ -1,6 +1,9 @@
 """The package's public names: the root's math-only core, and the names
 that only their own modules export."""
 import importlib
+import re
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -57,3 +60,14 @@ def test_star_import_binds_every_name():
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         diracrates.no_such_name  # noqa: B018
+
+
+def test_version_matches_pyproject():
+    text = (Path(__file__).parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    if sys.version_info >= (3, 11):
+        import tomllib
+
+        version = tomllib.loads(text)["project"]["version"]
+    else:  # no tomllib: the one `version = "..."` line of [project]
+        (version,) = re.findall(r'^version = "([^"]+)"$', text, re.MULTILINE)
+    assert diracrates.__version__ == version
