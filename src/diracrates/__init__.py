@@ -21,4 +21,4 @@ __all__ = [
     "si_acceleration_to_natural",
 ]
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

@@ -173,12 +173,10 @@ def _sweep_grid(
     return itertools.chain(head, rows, [amax] if last in indices else [])
 
 
-def _lines_in_two(
-    lines: Callable[[int, int], list[bytes]], k: int, n: int
-) -> list[bytes]:
-    """lines(0, k) + lines(k, n), with lines(k, n) run by a forked child
-    while this process runs lines(0, k). The child's half is returned as
-    the chunks read from the pipe, not one item per line.
+def _lines_in_two(lines: Callable[[int, int], list[bytes]], n: int) -> list[bytes]:
+    """lines(0, n), as lines(0, k) + lines(k, n) with k = n // 2: a forked
+    child runs lines(k, n) while this process runs lines(0, k). The child's
+    half is returned as the chunks read from the pipe, not one item per line.
 
     Errors are not sent over: if the child cannot deliver all of its lines,
     this process runs lines(k, n) itself, and so raises what the child
@@ -187,6 +185,7 @@ def _lines_in_two(
     must give each row from its index alone. If this process is killed,
     the child exits at its next block.
     """
+    k = n // 2
     try:
         r, w = os.pipe()
     except OSError:
@@ -255,7 +254,7 @@ def cmd_sweep(args) -> int:
     # Every row is computed and formatted before anything is written, so an
     # error leaves no partial output.
     if points >= SPLIT_MIN_POINTS and hasattr(os, "fork") and _usable_cpus() > 1:
-        rows = _lines_in_two(lines, points // 2, points)
+        rows = _lines_in_two(lines, points)
     else:
         rows = lines(0, points)
     if args.output is not None:
@@ -413,7 +412,3 @@ def main(argv: list[str] | None = None) -> int:
         parser.exit(EXIT_USAGE, f"error: {exc}\n")
     except OverflowError as exc:
         parser.exit(EXIT_USAGE, f"error: result out of double range ({exc})\n")
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -76,24 +76,24 @@ def rate_rows(atom: TwoLevelAtom, accels: Iterable[float], mu: float) -> Iterato
             base = ldexp(pref * f, shift)
         except OverflowError:
             raise OverflowError("rate out of double range") from None
-        mag = base * (1.0 + 2.0 * n)
-        # The magnitudes of vf and the total.  The total is not vf + cross,
-        # which cancels to rounding for the ground level at small n.
+        # The magnitudes of vf and the total: each is base times its own
+        # factor, rounded once.  The total is not vf + cross, which cancels
+        # to rounding for the ground level at small n.
+        f_vf, f_total = 1.0 + 2.0 * n, 2.0 * (1.0 + n) if excited else 2.0 * n
         if base < tiny and n >= tiny:
             # base is subnormal or 0, and has lost bits that vf and the
-            # total, about 2n times larger, may keep: scale each one's own
-            # factor 1 + 2n, 2(1 + n) or 2n as base is scaled.
-            vf, total = [ldexp(pref * f * m, shift + e) for m, e in map(
-                math.frexp, (1.0 + 2.0 * n, 2.0 * (1.0 + n) if excited else 2.0 * n))]
-        elif excited:
-            vf, total = mag, 2.0 * base * (1.0 + n)
-        elif n < tiny and a > 0:
+            # total, about 2n times larger, may keep: scale each factor as
+            # base is scaled.
+            vf, total = [ldexp(pref * f * m, shift + e)
+                         for m, e in map(math.frexp, (f_vf, f_total))]
+        elif n < tiny and a > 0 and not excited:
             # n is subnormal or 0 and has lost its bits, while base e^{-x}
-            # may be normal: take e^{-x} in two normal halves instead.
+            # may be normal: take e^{-x} in two normal halves instead.  1 + 2n
+            # rounds to 1, so vf is base.
             half = exp(-0.5 * x)
-            vf, total = mag, 2.0 * base * half * half
+            vf, total = base, base * (2.0 * half) * half
         else:
-            vf, total = mag, 2.0 * base * n
+            vf, total = base * f_vf, base * f_total
         # The downward transition (excited) drains energy, the upward one
         # feeds it.  0.0 - x rather than -x keeps a zero rate +0.0.
         if excited:

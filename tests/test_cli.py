@@ -120,6 +120,21 @@ class TestRate:
         out = strict_json(capsys.readouterr().out)
         assert out["rate_cross"] == pytest.approx(-6.719e156, rel=1e-4, abs=0)
 
+    # |cross| ~ 1.2e308, so twice it is out of double range while the ground
+    # rates are not. At a = 0.008 n is 0, and the total comes from the two
+    # halves of e^{-2 pi omega0 / a}.
+    @pytest.mark.parametrize("accel, coupling, total", [
+        ("1", "4.23e155", 4.498616227952955e305),
+        ("0.008", "1.336e156", 1.93198e-33),
+    ])
+    def test_ground_total_near_double_max(self, accel, coupling, total, capsys):
+        code = run_cli(["rate", "--accel", accel, "--coupling", coupling,
+                        "--format", "json"])
+        assert code == 0
+        out = strict_json(capsys.readouterr().out)
+        assert out["rate_vf"] > 1e308 and out["rate_cross"] < -1e308
+        assert out["rate_total"] == pytest.approx(total, rel=1e-5, abs=0)
+
     def test_json_version(self, capsys):
         run_cli(["rate", "--accel", "1", "--format", "json"])
         out = json.loads(capsys.readouterr().out)
@@ -268,6 +283,16 @@ class TestSweep:
             (1 / (60 * math.pi**3)) * 0.25 * (4 * a**4) * planck_n
         )
         assert total / quartic_only == pytest.approx(1.0, rel=0.01, abs=0)
+
+    def test_ground_rates_near_double_max(self, capsys):
+        # Twice |cross| ~ 1.2e308 at a = 1 is out of double range; no rate is.
+        code = run_cli(["sweep", "--accel-min", "0", "--accel-max", "1",
+                        "--points", "3", "--coupling", "4.23e155"])
+        assert code == 0
+        rows = [r.split(",") for r in capsys.readouterr().out.splitlines()[1:]]
+        assert [float(r[0]) for r in rows] == [0.0, 0.5, 1.0]
+        assert all(math.isfinite(float(x)) for r in rows for x in r)
+        assert float(rows[2][3]) == pytest.approx(4.4986e305, rel=1e-4, abs=0)
 
     def test_deterministic_output_file(self, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -728,6 +753,14 @@ class TestVerify:
         assert code == 0
         assert "overall: pass" in capsys.readouterr().out
 
+    def test_ground_rates_near_double_max_pass(self, capsys):
+        # |cross| ~ 1.2e308: twice it is out of double range, no rate is.
+        code = run_cli(
+            ["verify", "--accel", "1", "--coupling", "4.23e155", "--state", "ground"]
+        )
+        assert code == 0
+        assert "overall: pass" in capsys.readouterr().out
+
     def test_unreachable_tolerance_exit_3(self, capsys):
         # At a/omega = 10 the trapezoid error estimate is ~1e-8 relative.
         code = run_cli(
@@ -1129,6 +1162,8 @@ BAD_NUMBERS = [
     (["verify", "--accel", "1", "--coupling", "1e-159", "--state", "ground"], False),
     (["verify", "--accel", "1", "--coupling", "3e-160", "--state", "ground"], False),
     (["verify", "--omega0", "1e-55", "--accel", "1e-52", "--state", "ground"], False),
+    # The excited total, 2 |cross| (1 + n) ~ 2.4e308, is out of double range.
+    (["rate", "--accel", "1", "--coupling", "4.23e155", "--state", "excited"], True),
 ]
 
 

@@ -1,5 +1,6 @@
 """The package's public names: the root's math-only core, and the names
-that only their own modules export."""
+that only their own modules export; the version, and the outputs it names."""
+import hashlib
 import importlib
 import re
 import sys
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import diracrates
+from diracrates import cli
 
 # Each name the root exports and the module that defines it.
 HOME = {
@@ -71,3 +73,38 @@ def test_version_matches_pyproject():
     else:  # no tomllib: the one `version = "..."` line of [project]
         (version,) = re.findall(r'^version = "([^"]+)"$', text, re.MULTILINE)
     assert diracrates.__version__ == version
+
+
+# Requests whose stdout, JSON `version` key removed, is pinned to the
+# package version: the default selfcheck and verify, and rate at a few
+# points, among them the expm1 band and rates near the top of double range.
+PINNED_REQUESTS = [
+    ["selfcheck"],
+    ["verify", "--format", "json"],
+    ["rate", "--accel", "3", "--format", "json"],
+    ["rate", "--omega0", "2", "--accel", "3", "--state", "excited",
+     "--coupling", "0.7", "--format", "json"],
+    ["rate", "--accel", "0.0086", "--format", "json"],
+    ["rate", "--accel", "1", "--coupling", "4.23e155", "--format", "json"],
+    ["rate", "--accel", "0.008", "--coupling", "1.336e156", "--format", "json"],
+]
+
+# sha256 of those outputs, one per version. An output change needs a new
+# version and its digest here; the sweep CSVs have their own goldens. Like
+# them, a digest depends on the platform's libm.
+OUTPUT_DIGESTS = {
+    "0.2.0": "f1a6c84f1d5dda8a1352c26b6a64083bc67ce8ebc2e309a2602beff0f39d446b",
+}
+
+
+def test_outputs_pinned_to_version(capsys):
+    digest = hashlib.sha256()
+    version = f',\n  "version": "{diracrates.__version__}"\n}}\n'
+    for argv in PINNED_REQUESTS:
+        assert cli.main(argv) == 0
+        out = capsys.readouterr().out
+        if "json" in argv:
+            assert out.endswith(version)
+            out = out[: -len(version)] + "\n}\n"
+        digest.update(out.encode())
+    assert digest.hexdigest() == OUTPUT_DIGESTS[diracrates.__version__]

@@ -393,6 +393,36 @@ class TestRangeRule:
         assert overflows == []
         assert worst <= 2e-15
 
+    def test_top_of_double_range(self):
+        # base = |cross| in (0.3, 1) MAX: 2 base leaves double range where
+        # the ground total 2 base n does not.  Each rate is base times its
+        # own factor, so none overflows unless it is itself out of range.
+        rng = random.Random("range-rule:top")
+        tiny, huge = sys.float_info.min, sys.float_info.max
+        checked, overflows, worst = 0, [], 0.0
+        for _ in range(1500):
+            omega0 = 10.0 ** rng.uniform(-3.0, 3.0)
+            a = omega0 * 10.0 ** rng.uniform(-2.8, 3.0)
+            unit = CHANNEL_WEIGHT * omega0**6 * poly(omega0, a) / (120.0 * PI3)
+            mu = math.sqrt(rng.uniform(0.3, 1.0) * huge) / math.sqrt(unit)
+            n = planck(omega0, a)
+            for level in ("ground", "excited"):
+                exact = exact_rates(omega0, a, mu, n, level)
+                if not all(abs(x) <= huge for x in exact):
+                    continue
+                try:
+                    row = rates.rate_total(TwoLevelAtom(omega0, level), a, mu)
+                except OverflowError:
+                    overflows.append((omega0, a, mu, level))
+                    continue
+                if n < tiny and level == "ground":  # the row's own n is lossy
+                    exact = (*exact[:2], Fraction(exact_ground_total(row, omega0)))
+                checked += 1
+                worst = max([worst, *rel_errors(row, exact, tiny)])
+        assert overflows == []
+        assert checked > 1000
+        assert worst <= 2e-15
+
     @pytest.mark.parametrize("omega0, a, mu", RANGE_REGRESSIONS)
     @pytest.mark.parametrize("level", ["ground", "excited"])
     def test_regressions(self, omega0, a, mu, level):
