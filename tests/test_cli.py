@@ -778,6 +778,22 @@ class TestVerify:
         assert ground == f"accel=0.1 state=ground   CONVERGENCE ERROR: {message}"
         assert excited == f"accel=0.1 state=excited  CONVERGENCE ERROR: {message}"
 
+    def test_pass_and_fail_lines_pinned(self, monkeypatch, capsys):
+        # Fixed reports, so that the digits do not depend on libm.
+        def report(rel_err_vf, rel_err_cross, passed):
+            return oracle.OracleReport(1.0, 1.0, -1.0, -1.0, rel_err_vf,
+                                       rel_err_cross, {}, passed)
+        reports = {"ground": report(1.25e-15, 3.5e-16, True),
+                   "excited": report(2.5e-3, 1e-16, False)}
+        monkeypatch.setattr(oracle, "verify_rates",
+                            lambda atom, a, coupling, tol: reports[atom.level])
+        assert run_cli(["verify", "--accel", "1"]) == 3
+        assert capsys.readouterr().out == (
+            "accel=1 state=ground   rel_err_vf=1.25e-15 rel_err_cross=3.50e-16  pass\n"
+            "accel=1 state=excited  rel_err_vf=2.50e-03 rel_err_cross=1.00e-16  FAIL\n"
+            "overall: FAIL (tol=0.001)\n"
+        )
+
     def test_quadrature_block(self, capsys):
         code = run_cli(
             ["verify", "--accel", "1", "--state", "excited", "--format", "json"]
