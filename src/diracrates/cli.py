@@ -50,20 +50,6 @@ ORPHAN_CHECK_ROWS = 10_000
 RADIATION_REACTION = 0.0
 RADIATION_REACTION_NOTE = "order mu^3, neglected"
 
-RATE_CSV_KEYS = (
-    "omega0", "accel", "coupling", "state", "rate_vf", "rate_cross",
-    "rate_total", "poly_factor", "planck_n", "effective_temperature",
-)
-# (label, field) of each line of `rate`'s human output.
-RATE_HUMAN_LINES = (
-    ("state", "state"), ("omega0", "omega0"), ("accel", "accel"),
-    ("coupling", "coupling"), ("rate_vf", "rate_vf"),
-    ("rate_cross", "rate_cross"), ("rate_total", "rate_total"),
-    ("radiation_reaction", "radiation_reaction"),
-    ("poly_factor", "poly_factor"), ("planck_n", "planck_n"),
-    ("T_eff", "effective_temperature"),
-)
-
 
 def _text(value, spec: str) -> str:
     return value if isinstance(value, str) else format(value, spec)
@@ -137,15 +123,16 @@ def cmd_rate(args) -> int:
         import json
 
         print(json.dumps({**fields, "version": __version__}, indent=2))
-    elif args.format == "csv":
-        print(",".join(RATE_CSV_KEYS))
-        print(",".join(_text(fields[k], ".17g") for k in RATE_CSV_KEYS))
+    elif args.format == "csv":  # a constant 0 and its note have no column
+        del fields["radiation_reaction"], fields["radiation_reaction_note"]
+        print(",".join(fields))
+        print(",".join(_text(value, ".17g") for value in fields.values()))
     else:
-        for label, key in RATE_HUMAN_LINES:
-            line = f"{label:21s}{_text(fields[key], '.6g')}"
-            if key == "radiation_reaction":
-                line += f"  ({RADIATION_REACTION_NOTE})"
-            print(line)
+        note = fields.pop("radiation_reaction_note")
+        for key, value in {"state": args.state, **fields}.items():
+            label = "T_eff" if key == "effective_temperature" else key
+            tail = f"  ({note})" if key == "radiation_reaction" else ""
+            print(f"{label:21s}{_text(value, '.6g')}{tail}")
     return EXIT_OK
 
 
@@ -239,7 +226,7 @@ def cmd_sweep(args) -> int:
         raise ValueError("need accel_min >= 0, accel_max > accel_min, points >= 2")
     if points > MAX_POINTS:
         raise ValueError(f"points must be at most {MAX_POINTS}, got {points}")
-    if amax == math.inf:  # the grid would give nan (0 * inf)
+    if amax == math.inf:  # the last row would fail too; this names the flag
         raise ValueError(f"accel_max must be finite, got {amax}")
 
     atom = TwoLevelAtom(args.omega0, args.state)
@@ -280,14 +267,10 @@ def cmd_verify(args) -> int:
         for st in states:
             atom = TwoLevelAtom(omega0, st)
             try:
-                rep = oracle.verify_rates(atom, a, coupling, tol=tol)
+                result = oracle.verify_rates(atom, a, coupling, tol=tol)._asdict()
             except oracle.ConvergenceError as exc:
-                entries.append(
-                    {"accel": a, "state": st, "error": str(exc),
-                     "diagnostics": exc.diagnostics}
-                )
-                continue
-            entries.append({"accel": a, "state": st, **rep._asdict()})
+                result = {"error": str(exc), "diagnostics": exc.diagnostics}
+            entries.append({"accel": a, "state": st, **result})
     all_pass = all(e.get("passed", False) for e in entries)
 
     if args.format == "json":
@@ -304,17 +287,12 @@ def cmd_verify(args) -> int:
     else:
         for e in entries:
             if "error" in e:
-                print(
-                    f"accel={e['accel']:.6g} state={e['state']:8s} "
-                    f"CONVERGENCE ERROR: {e['error']}"
-                )
-                continue
-            status = "pass" if e["passed"] else "FAIL"
-            print(
-                f"accel={e['accel']:.6g} state={e['state']:8s} "
-                f"rel_err_vf={e['rel_err_vf']:.2e} "
-                f"rel_err_cross={e['rel_err_cross']:.2e}  {status}"
-            )
+                outcome = f"CONVERGENCE ERROR: {e['error']}"
+            else:
+                outcome = (f"rel_err_vf={e['rel_err_vf']:.2e} "
+                           f"rel_err_cross={e['rel_err_cross']:.2e}  "
+                           f"{'pass' if e['passed'] else 'FAIL'}")
+            print(f"accel={e['accel']:.6g} state={e['state']:8s} {outcome}")
         print(f"overall: {'pass' if all_pass else 'FAIL'} (tol={tol:g})")
     return EXIT_OK if all_pass else EXIT_VERIFY
 

@@ -1268,7 +1268,7 @@ def test_unknown_flag_error_shape(config, tmp_path, monkeypatch, capsys):
          "error: result out of double range (rate out of double range)\n"),
         (["sweep", "--omega0", "1e-100", "--accel-max", "1", "--points", "2"],
          "error: result out of double range (rate out of double range)\n"),
-        # The grid would compute 0 * inf = nan; the bound is named instead.
+        # The last row would fail as an infinite acceleration; the flag is named.
         (["sweep", "--accel-max", "inf"],
          "error: accel_max must be finite, got inf\n"),
         (["sweep", "--accel-min", "1", "--accel-max", "inf", "--scale", "log"],
