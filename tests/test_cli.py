@@ -16,7 +16,7 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import diracrates
@@ -262,6 +262,30 @@ class TestSweep:
             halves = [cli._sweep_grid(amin, amax, points, scale, rows)
                       for rows in (range(0, k), range(k, points))]
             assert [*halves[0], *halves[1]] == grid
+
+    @settings(max_examples=200, database=None, deadline=None)
+    @given(data=st.data(), points=st.integers(2, 300))
+    @example(data=None, points=300)
+    def test_rows_from_index_alone(self, data, points):
+        # A split sweep's child builds its half in blocks of
+        # ORPHAN_CHECK_ROWS, so each row must come from its index alone:
+        # any range of rows is that slice of the whole grid, bit for bit.
+        if data is None:  # the widest log grid: the ends are exact, not formulas
+            scale, amin, amax, lo, hi = "log", 5e-324, sys.float_info.max, 150, 300
+        else:
+            scale = data.draw(st.sampled_from(["log", "linear"]))
+            ends = st.floats(5e-324 if scale == "log" else 0.0, sys.float_info.max)
+            amin, amax = sorted(data.draw(st.sets(ends, min_size=2, max_size=2)))
+            if scale == "linear" and amin == 0.0 and data.draw(st.booleans()):
+                amin = -0.0
+            lo = data.draw(st.integers(0, points))
+            hi = data.draw(st.integers(lo, points))
+        full = [*map(float.hex, cli._sweep_grid(amin, amax, points, scale,
+                                                range(points)))]
+        assert len(full) == points
+        assert (full[0], full[-1]) == (amin.hex(), amax.hex())
+        rows = cli._sweep_grid(amin, amax, points, scale, range(lo, hi))
+        assert [*map(float.hex, rows)] == full[lo:hi]
 
     def test_monotone_ground_totals(self, capsys):
         run_cli(

@@ -1,5 +1,6 @@
 """Quadrature oracle: shifted-line grid, convergence, and closed-form agreement."""
 import cmath
+import itertools
 import math
 
 import pytest
@@ -42,6 +43,19 @@ class TestShiftedLine:
                 assert g_vf == e_vf
                 assert g_cross == -e_cross
 
+    # [vf, cross] at steps h and 2h on lines of thousands of nodes, where
+    # each parity sum takes over a thousand terms.
+    @pytest.mark.parametrize("omega0, a, nodes, t_h, t_2h", [
+        (1.0, 1e-3, 48_117, [2150113046066.7102, 2150113046066.7104],
+         [2150113046593.8015, 2150113046460.6028]),
+        (0.37, 3.7e-3, 4_813, [21511774.32698499, 21511774.32698499],
+         [21511774.332255978, 21511774.33092396]),
+    ])
+    def test_sums_pinned_below_pi_over_6(self, omega0, a, nodes, t_h, t_2h):
+        got_h, got_2h, grid = oracle._line_sums(omega0, a)
+        assert grid["nodes"] == nodes
+        assert (got_h, got_2h) == (t_h, t_2h)
+
     def test_node_limit(self):
         with pytest.raises(ConvergenceError) as err:
             oracle._line_sums(1.0, 1e-5)
@@ -67,6 +81,14 @@ class TestShiftedLine:
             oracle.verify_rates(TwoLevelAtom(1.0, "ground"), a, 1.0, tol=1e-3)
         assert err.value.diagnostics["nodes"] is None
         assert set(err.value.diagnostics) == {"s", "h", "nodes", "Y"}
+
+
+def verify_or_error(atom, a, mu, tol):
+    """verify_rates' report, or the type, message and diagnostics of its error."""
+    try:
+        return oracle.verify_rates(atom, a, mu, tol=tol)
+    except (ConvergenceError, OverflowError, ValueError) as exc:
+        return type(exc), str(exc), getattr(exc, "diagnostics", None)
 
 
 def ground_line_sums(omega0, a):
@@ -285,6 +307,28 @@ class TestVerifyRates:
             oracle.verify_rates(TwoLevelAtom(1.0, "ground"), 10.0, 1.0, tol=1e-12)
         assert "error estimate" in str(err.value)
         assert set(err.value.diagnostics) == QUADRATURE_KEYS
+
+    @pytest.mark.parametrize("omega0", [0.37, 1.0, 8.0])
+    def test_levels_mirror_in_reports(self, omega0):
+        # The levels share one line (TestShiftedLine::test_levels_mirror):
+        # their reports differ only in the sign of vf, and where one level
+        # raises, the other raises the same error. Off this grid the totals
+        # break the mirror: at omega0 = a = 1 and mu = 4.23e155 vf and cross
+        # add up to an overflow for the excited level alone.
+        for ratio, mu, tol in itertools.product(
+            (4e-5, 1e-3, 1e-2, 0.1, 0.3, 1.0, 3.0, 10.0, 100.0, 1e3, 1e6, 1e48),
+            (1.0, 1e-150, 4.23e154),
+            (1e-3, 1e-12),
+        ):
+            ground, excited = (
+                verify_or_error(TwoLevelAtom(omega0, level), ratio * omega0, mu, tol)
+                for level in ("ground", "excited")
+            )
+            if isinstance(excited, oracle.OracleReport):
+                excited = excited._replace(
+                    numeric_vf=-excited.numeric_vf, closed_vf=-excited.closed_vf
+                )
+            assert ground == excited, (ratio, mu, tol)
 
     def test_node_halving_stability(self):
         # The h-step value lies within |T_h - T_2h| of the closed form.
