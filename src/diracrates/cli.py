@@ -4,7 +4,6 @@ Exit codes: 0 success, 1 I/O failure, 2 usage error, 3 verification
 failure, 4 identity failure.
 """
 import argparse
-import itertools
 import math
 import os
 import sys
@@ -150,14 +149,17 @@ def _sweep_grid(
     alone, so that any split of the rows gives the same bits. Rows 0 and
     points - 1 are amin and amax exactly, which the formulas can miss."""
     last = points - 1
-    inner = range(max(indices.start, 1), min(indices.stop, last))
     if scale == "log":
         lo, hi = math.log(amin), math.log(amax)
-        rows = (math.exp(lo + (hi - lo) * i / last) for i in inner)
-    else:
-        rows = (amin + (amax - amin) * i / last for i in inner)
-    head = [amin] if 0 in indices else []
-    return itertools.chain(head, rows, [amax] if last in indices else [])
+    for i in indices:
+        if i == 0:
+            yield amin
+        elif i == last:
+            yield amax
+        elif scale == "log":
+            yield math.exp(lo + (hi - lo) * i / last)
+        else:
+            yield amin + (amax - amin) * i / last
 
 
 def _lines_in_two(lines: Callable[[int, int], list[bytes]], n: int) -> list[bytes]:
@@ -185,7 +187,6 @@ def _lines_in_two(lines: Callable[[int, int], list[bytes]], n: int) -> list[byte
         os.close(w)
         return lines(0, k) + lines(k, n)
     if pid == 0:
-        code = 1
         try:
             os.close(r)
             half = []
@@ -195,9 +196,8 @@ def _lines_in_two(lines: Callable[[int, int], list[bytes]], n: int) -> list[byte
                 half += lines(lo, min(lo + ORPHAN_CHECK_ROWS, n))
             with open(w, "wb", buffering=CHUNK) as out:
                 out.writelines(half)
-            code = 0
-        finally:
-            os._exit(code)  # neither returns to the caller nor flushes its files
+        finally:  # the status is not read: the line count tells
+            os._exit(0)  # neither returns to the caller nor flushes its files
     os.close(w)
     chunks = []
     try:
