@@ -1305,6 +1305,13 @@ def test_unknown_flag_error_shape(config, tmp_path, monkeypatch, capsys):
         # rate_total checks the coupling, after verify_rates checks tol.
         (["verify", "--coupling", "nan", "--tol", "inf"],
          "error: tol must be positive and finite, got inf\n"),
+        # The atom is checked before a and tol.
+        (["verify", "--omega0", "-1", "--tol", "0"],
+         "error: omega0 must be positive and finite, got -1.0\n"),
+        # The excited total alone leaves double range; the ground level,
+        # checked first, would pass.
+        (["verify", "--accel", "1", "--coupling", "4.23e155"],
+         "error: result out of double range (rate out of double range)\n"),
     ],
 )
 def test_error_precedence(argv, message, capsys):
