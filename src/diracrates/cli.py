@@ -264,13 +264,13 @@ def cmd_verify(args) -> int:
 
     entries = []
     for a in accels:
-        for st in states:
-            atom = TwoLevelAtom(omega0, st)
-            try:
-                result = oracle.verify_rates(atom, a, coupling, tol=tol)._asdict()
-            except oracle.ConvergenceError as exc:
-                result = {"error": str(exc), "diagnostics": exc.diagnostics}
-            entries.append({"accel": a, "state": st, **result})
+        try:
+            reports = oracle.verify_rates(omega0, a, coupling, states, tol=tol)
+            results = [r._asdict() for r in reports]
+        except oracle.ConvergenceError as exc:
+            error = {"error": str(exc), "diagnostics": exc.diagnostics}
+            results = [error] * len(states)
+        entries += ({"accel": a, "state": st, **r} for st, r in zip(states, results))
     all_pass = all(e.get("passed", False) for e in entries)
 
     if args.format == "json":

@@ -13,6 +13,7 @@ residue sums behind the closed forms, so agreement is an independent check.
 import math
 import sys
 from collections import namedtuple
+from collections.abc import Iterable
 
 from . import correlators, rates
 from .atom import TwoLevelAtom, susceptibility_c, susceptibility_chi
@@ -25,7 +26,7 @@ _Y = math.log(64.0 / _TAIL) / 6.0
 # h = s/10 resolves the pole and the oscillation (see _line_sums), so below
 # a/|omega| = pi/6 nodes grow like |omega|/a. Half are evaluated, and each value
 # kept until the sums; this many (a/|omega| ~ 4.81e-5): ~0.85 s and a ~55 MB
-# process peak per entry, 2-vCPU x86-64 VM.
+# process peak per acceleration, 2-vCPU x86-64 VM.
 _MAX_NODES = 1_000_000
 
 
@@ -95,29 +96,31 @@ def _line_sums(omega0: float, a: float) -> tuple[list, list, dict]:
 
 
 def verify_rates(
-    atom: TwoLevelAtom, a: float, mu: float, *, tol: float
-) -> OracleReport:
-    """Compare quadrature and closed-form vf/cross rates for one atom.
+    omega0: float, a: float, mu: float, levels: Iterable[str], *, tol: float
+) -> list[OracleReport]:
+    """Compare quadrature and closed-form vf/cross rates for each of `levels`,
+    one report per level in their order, all from the one line they share.
 
     Raises ConvergenceError, with the quadrature block as diagnostics,
     when |T_h - T_2h| of either rate exceeds tol times its value, and
     OverflowError when a rate leaves double range (from a ~ 2.9e62 on at
     omega0 = mu = 1, where the closed forms do too).
     """
+    atoms = [TwoLevelAtom(omega0, level) for level in levels]
     if not (0 < a < math.inf):
         raise ValueError(f"acceleration must be positive and finite, got {a}")
     if not (0 < tol < math.inf):
         raise ValueError(f"tol must be positive and finite, got {tol}")
-    closed = rates.rate_total(atom, a, mu)  # checks the coupling
+    closed = [rates.rate_total(atom, a, mu) for atom in atoms]  # checks the coupling
     # A subnormal closed rate carries too few bits for a relative check.
-    if min(abs(closed.vf), abs(closed.cross)) < sys.float_info.min:
+    if any(min(abs(c.vf), abs(c.cross)) < sys.float_info.min for c in closed):
         raise ValueError(
-            f"rates underflow to subnormal or zero at omega0={atom.omega0}, "
+            f"rates underflow to subnormal or zero at omega0={omega0}, "
             f"a={a}, mu={mu}"
         )
-    t_h, t_2h, grid = _line_sums(atom.omega0, a)
+    t_h, t_2h, grid = _line_sums(omega0, a)
     # The scale -mu^2 omega0 (a/2)^5 from mantissas and one power of two.
-    (mu_m, mu_e), (w_m, w_e) = math.frexp(mu), math.frexp(atom.omega0)
+    (mu_m, mu_e), (w_m, w_e) = math.frexp(mu), math.frexp(omega0)
     h_m, h_e = math.frexp(a / 2.0)
     pref, shift = -mu_m * mu_m * w_m * h_m * h_m * h_m * h_m, 2 * mu_e + w_e + 5 * h_e
     try:
@@ -126,8 +129,6 @@ def verify_rates(
         ]
     except OverflowError:
         raise OverflowError("quadrature value out of double range") from None
-    if atom.omega_bd < 0:  # ground: -mu^2 omega_bd negates vf (see _line_sums)
-        vf, vf_2h = -vf, -vf_2h
     quadrature = {
         **grid,
         "error_estimate_vf": abs(vf - vf_2h),
@@ -141,15 +142,15 @@ def verify_rates(
                 f"{tol:.1e} x |{abs(value):.6e}|",
                 quadrature,
             )
-    rel_err_vf = abs(vf - closed.vf) / abs(closed.vf)
-    rel_err_cross = abs(cross - closed.cross) / abs(closed.cross)
-    return OracleReport(
-        numeric_vf=vf,
-        closed_vf=closed.vf,
-        numeric_cross=cross,
-        closed_cross=closed.cross,
-        rel_err_vf=rel_err_vf,
-        rel_err_cross=rel_err_cross,
-        quadrature=quadrature,
-        passed=rel_err_vf < tol and rel_err_cross < tol,
-    )
+    reports = []
+    for atom, c in zip(atoms, closed):
+        # ground: -mu^2 omega_bd negates vf (see _line_sums)
+        numeric_vf = -vf if atom.omega_bd < 0 else vf
+        rel_err_vf = abs(numeric_vf - c.vf) / abs(c.vf)
+        rel_err_cross = abs(cross - c.cross) / abs(c.cross)
+        reports.append(OracleReport(
+            numeric_vf=numeric_vf, closed_vf=c.vf, numeric_cross=cross,
+            closed_cross=c.cross, rel_err_vf=rel_err_vf, rel_err_cross=rel_err_cross,
+            quadrature=quadrature, passed=rel_err_vf < tol and rel_err_cross < tol,
+        ))
+    return reports

@@ -39,7 +39,7 @@ def test_criterion_5_oracle_equivalence():
     ok = True
     for ratio in (0.1, 0.3, 1.0, 3.0, 10.0, 100.0, 1e4, 1e6):
         for level in ("ground", "excited"):
-            rep = oracle.verify_rates(TwoLevelAtom(1.0, level), ratio, 1.0, tol=1e-3)
+            rep = oracle.verify_rates(1.0, ratio, 1.0, [level], tol=1e-3)[0]
             worst = max(worst, rep.rel_err_vf, rep.rel_err_cross)
             ok = ok and rep.rel_err_vf < 1e-9 and rep.rel_err_cross < 1e-9
     elapsed = time.monotonic() - start

@@ -809,14 +809,37 @@ class TestVerify:
                                        rel_err_cross, {}, passed)
         reports = {"ground": report(1.25e-15, 3.5e-16, True),
                    "excited": report(2.5e-3, 1e-16, False)}
-        monkeypatch.setattr(oracle, "verify_rates",
-                            lambda atom, a, coupling, tol: reports[atom.level])
+        monkeypatch.setattr(
+            oracle, "verify_rates",
+            lambda omega0, a, coupling, levels, tol: [reports[lv] for lv in levels],
+        )
         assert run_cli(["verify", "--accel", "1"]) == 3
         assert capsys.readouterr().out == (
             "accel=1 state=ground   rel_err_vf=1.25e-15 rel_err_cross=3.50e-16  pass\n"
             "accel=1 state=excited  rel_err_vf=2.50e-03 rel_err_cross=1.00e-16  FAIL\n"
             "overall: FAIL (tol=0.001)\n"
         )
+
+    @pytest.mark.parametrize("argv, lines", [
+        (["verify"], len(cli.DEFAULT_VERIFY_RATIOS)),
+        (["verify", "--accel", "1e-3"], 1),
+        (["verify", "--accel", "1e-3", "--state", "excited"], 1),
+    ])
+    def test_one_line_per_acceleration(self, argv, lines, monkeypatch, capsys):
+        # The levels share the oracle's line, so a request integrates it once
+        # per acceleration however many levels it checks.
+        calls = []
+        line_sums = oracle._line_sums
+
+        def counted(omega0, a):
+            calls.append((omega0, a))
+            return line_sums(omega0, a)
+
+        monkeypatch.setattr(oracle, "_line_sums", counted)
+        assert run_cli(argv + ["--format", "json"]) == 0
+        entries = json.loads(capsys.readouterr().out)["entries"]
+        assert len(calls) == len(set(calls)) == lines
+        assert {(1.0, e["accel"]) for e in entries} == set(calls)
 
     def test_quadrature_block(self, capsys):
         code = run_cli(

@@ -27,7 +27,7 @@ class TestShiftedLine:
     def test_difference_without_cancellation(self):
         # At a >> omega the two integrals agree to ~log10(a/omega) digits;
         # the difference must still match the closed form.
-        rep = oracle.verify_rates(TwoLevelAtom(1.0, "ground"), 1e48, 1.0, tol=1e-3)
+        rep = oracle.verify_rates(1.0, 1e48, 1.0, ["ground"], tol=1e-3)[0]
         assert rep.rel_err_cross < 1e-12
 
     @pytest.mark.parametrize("omega0", [0.37, 1.0, 8.0])
@@ -66,7 +66,7 @@ class TestShiftedLine:
         # One line: the count to 3 significant digits, not its 305 digits at
         # 1e-300; the diagnostics keep the exact integer.
         with pytest.raises(ConvergenceError) as err:
-            oracle.verify_rates(TwoLevelAtom(1.0, "ground"), a, 1.0, tol=1e-3)
+            oracle.verify_rates(1.0, a, 1.0, ["ground"], tol=1e-3)
         assert str(err.value) == (
             f"quadrature needs {count} nodes, above the limit 1000000"
         )
@@ -78,15 +78,15 @@ class TestShiftedLine:
         # h underflows to 0 (5e-324) or Y/2h overflows (1e-320): the count
         # has no float value and is reported as None.
         with pytest.raises(ConvergenceError, match="above the limit") as err:
-            oracle.verify_rates(TwoLevelAtom(1.0, "ground"), a, 1.0, tol=1e-3)
+            oracle.verify_rates(1.0, a, 1.0, ["ground"], tol=1e-3)
         assert err.value.diagnostics["nodes"] is None
         assert set(err.value.diagnostics) == {"s", "h", "nodes", "Y"}
 
 
-def verify_or_error(atom, a, mu, tol):
-    """verify_rates' report, or the type, message and diagnostics of its error."""
+def verify_or_error(omega0, a, mu, levels, tol):
+    """verify_rates' reports, or the type, message and diagnostics of its error."""
     try:
-        return oracle.verify_rates(atom, a, mu, tol=tol)
+        return oracle.verify_rates(omega0, a, mu, levels, tol=tol)
     except (ConvergenceError, OverflowError, ValueError) as exc:
         return type(exc), str(exc), getattr(exc, "diagnostics", None)
 
@@ -191,14 +191,14 @@ class TestCutOff:
 class TestVfIntegral:
     def test_matches_closed_form(self):
         atom = TwoLevelAtom(1.0, "excited")
-        got = oracle.verify_rates(atom, 1.0, 1.0, tol=1e-3).numeric_vf
+        got = oracle.verify_rates(1.0, 1.0, 1.0, ["excited"], tol=1e-3)[0].numeric_vf
         expected = rates.rate_total(atom, 1.0, 1.0).vf
         assert got == pytest.approx(expected, rel=1e-9, abs=0)
 
     def test_ratio_across_parameters(self):
         def numeric_vf(omega0):
-            atom = TwoLevelAtom(omega0, "excited")
-            return oracle.verify_rates(atom, 1.0, 1.0, tol=1e-3).numeric_vf
+            (rep,) = oracle.verify_rates(omega0, 1.0, 1.0, ["excited"], tol=1e-3)
+            return rep.numeric_vf
 
         num_ratio = numeric_vf(1.0) / numeric_vf(2.0)
         closed_ratio = (
@@ -220,7 +220,7 @@ class TestVfIntegral:
 class TestCrossIntegral:
     def test_matches_closed_form(self):
         atom = TwoLevelAtom(1.0, "excited")
-        got = oracle.verify_rates(atom, 1.0, 1.0, tol=1e-3).numeric_cross
+        got = oracle.verify_rates(1.0, 1.0, 1.0, ["excited"], tol=1e-3)[0].numeric_cross
         expected = rates.rate_total(atom, 1.0, 1.0).cross
         assert got == pytest.approx(expected, rel=1e-9, abs=0)
 
@@ -247,8 +247,8 @@ class TestCrossIntegral:
                         )
 
     def test_negative_and_level_independent(self):
-        down = oracle.verify_rates(TwoLevelAtom(1.0, "excited"), 1.0, 1.0, tol=1e-3)
-        up = oracle.verify_rates(TwoLevelAtom(1.0, "ground"), 1.0, 1.0, tol=1e-3)
+        down = oracle.verify_rates(1.0, 1.0, 1.0, ["excited"], tol=1e-3)[0]
+        up = oracle.verify_rates(1.0, 1.0, 1.0, ["ground"], tol=1e-3)[0]
         assert down.numeric_cross < 0
         assert up.numeric_cross == pytest.approx(down.numeric_cross, rel=1e-12, abs=0)
 
@@ -257,7 +257,7 @@ class TestVerifyRates:
     @pytest.mark.parametrize("a", [0.1, 1.0, 10.0, 100.0, 1e4, 1e6])
     @pytest.mark.parametrize("level", ["ground", "excited"])
     def test_passes_default_grid_points(self, a, level):
-        rep = oracle.verify_rates(TwoLevelAtom(1.0, level), a, 1.0, tol=1e-3)
+        rep = oracle.verify_rates(1.0, a, 1.0, [level], tol=1e-3)[0]
         assert rep.passed
         assert rep.rel_err_vf < 1e-9
         assert rep.rel_err_cross < 1e-9
@@ -272,24 +272,24 @@ class TestVerifyRates:
     @pytest.mark.parametrize("level", ["ground", "excited"])
     def test_passes_where_factors_leave_double_range(self, omega0, a, mu, level):
         # mu^2, omega0^6 or (a/2)^5 is out of double range, the rates are not.
-        rep = oracle.verify_rates(TwoLevelAtom(omega0, level), a, mu, tol=1e-3)
+        rep = oracle.verify_rates(omega0, a, mu, [level], tol=1e-3)[0]
         assert rep.passed
         assert max(rep.rel_err_vf, rep.rel_err_cross) < 1e-14
 
     def test_tol_is_required(self):
         with pytest.raises(TypeError, match="tol"):
-            oracle.verify_rates(TwoLevelAtom(1.0, "ground"), 1.0, 1.0)
+            oracle.verify_rates(1.0, 1.0, 1.0, ["ground"])
 
     def test_tol_validation(self):
         for tol in (0.0, -1e-3, math.nan, math.inf):
             with pytest.raises(ValueError):
-                oracle.verify_rates(TwoLevelAtom(1.0, "ground"), 1.0, 1.0, tol=tol)
+                oracle.verify_rates(1.0, 1.0, 1.0, ["ground"], tol=tol)
 
     @pytest.mark.parametrize("a, mu", [(0.0, 1.0), (math.nan, 1.0),
                                        (math.inf, 1.0), (1.0, math.nan)])
     def test_invalid_inputs(self, a, mu):
         with pytest.raises(ValueError):
-            oracle.verify_rates(TwoLevelAtom(1.0, "ground"), a, mu, tol=1e-3)
+            oracle.verify_rates(1.0, a, mu, ["ground"], tol=1e-3)
 
     def test_quadrature_overflow(self, monkeypatch):
         # Sums that overflow once scaled by -mu^2 omega_bd (a/2)^5 = -500^5.
@@ -297,14 +297,14 @@ class TestVerifyRates:
         monkeypatch.setattr(oracle, "_line_sums",
                             lambda omega0, a: ([1e308] * 2, [1e308] * 2, grid))
         with pytest.raises(OverflowError) as err:
-            oracle.verify_rates(TwoLevelAtom(1.0, "ground"), 1e3, 1.0, tol=1e-3)
+            oracle.verify_rates(1.0, 1e3, 1.0, ["ground"], tol=1e-3)
         assert str(err.value) == "quadrature value out of double range"
 
     def test_unreachable_tolerance_raises(self):
         # At a/omega = 10 the 2h sum is off by ~1e-8; no tolerance below
         # that can be met.
         with pytest.raises(ConvergenceError) as err:
-            oracle.verify_rates(TwoLevelAtom(1.0, "ground"), 10.0, 1.0, tol=1e-12)
+            oracle.verify_rates(1.0, 10.0, 1.0, ["ground"], tol=1e-12)
         assert "error estimate" in str(err.value)
         assert set(err.value.diagnostics) == QUADRATURE_KEYS
 
@@ -314,25 +314,29 @@ class TestVerifyRates:
         # their reports differ only in the sign of vf, and where one level
         # raises, the other raises the same error. Off this grid the totals
         # break the mirror: at omega0 = a = 1 and mu = 4.23e155 vf and cross
-        # add up to an overflow for the excited level alone.
+        # add up to an overflow for the excited level alone. A call for both
+        # levels returns the two one-level reports, or raises their error.
         for ratio, mu, tol in itertools.product(
             (4e-5, 1e-3, 1e-2, 0.1, 0.3, 1.0, 3.0, 10.0, 100.0, 1e3, 1e6, 1e48),
             (1.0, 1e-150, 4.23e154),
             (1e-3, 1e-12),
         ):
-            ground, excited = (
-                verify_or_error(TwoLevelAtom(omega0, level), ratio * omega0, mu, tol)
-                for level in ("ground", "excited")
+            ground, excited, both = (
+                verify_or_error(omega0, ratio * omega0, mu, levels, tol)
+                for levels in (["ground"], ["excited"], ["ground", "excited"])
             )
-            if isinstance(excited, oracle.OracleReport):
-                excited = excited._replace(
-                    numeric_vf=-excited.numeric_vf, closed_vf=-excited.closed_vf
-                )
+            if isinstance(excited, list):
+                assert both == ground + excited, (ratio, mu, tol)
+                excited = [excited[0]._replace(
+                    numeric_vf=-excited[0].numeric_vf, closed_vf=-excited[0].closed_vf
+                )]
+            else:
+                assert both == excited, (ratio, mu, tol)
             assert ground == excited, (ratio, mu, tol)
 
     def test_node_halving_stability(self):
         # The h-step value lies within |T_h - T_2h| of the closed form.
-        rep = oracle.verify_rates(TwoLevelAtom(1.0, "ground"), 10.0, 1.0, tol=1e-3)
+        rep = oracle.verify_rates(1.0, 10.0, 1.0, ["ground"], tol=1e-3)[0]
         q = rep.quadrature
         assert abs(rep.numeric_vf - rep.closed_vf) < q["error_estimate_vf"]
         assert abs(rep.numeric_cross - rep.closed_cross) < q["error_estimate_cross"]
@@ -341,17 +345,15 @@ class TestVerifyRates:
         # Numeric vf divided by the inertial-scale magnitude reproduces
         # the (1 + 2n) occupation structure at a = omega0.
         omega0 = a = mu = 1.0
-        atom = TwoLevelAtom(omega0, "excited")
-        numeric = oracle.verify_rates(atom, a, mu, tol=1e-3).numeric_vf
+        numeric = oracle.verify_rates(omega0, a, mu, ["excited"], tol=1e-3)[0].numeric_vf
         f = 1 + 5 * (a / omega0) ** 2 + 4 * (a / omega0) ** 4
         base = -(mu**2 / (480 * math.pi**3)) * f
         n = 1 / math.expm1(2 * math.pi * omega0 / a)
         assert numeric / base == pytest.approx(1 + 2 * n, rel=1e-9, abs=0)
 
     def test_coupling_scaling(self):
-        atom = TwoLevelAtom(1.0, "excited")
-        double = oracle.verify_rates(atom, 1.0, 2.0, tol=1e-3).numeric_vf
-        single = oracle.verify_rates(atom, 1.0, 1.0, tol=1e-3).numeric_vf
+        double = oracle.verify_rates(1.0, 1.0, 2.0, ["excited"], tol=1e-3)[0].numeric_vf
+        single = oracle.verify_rates(1.0, 1.0, 1.0, ["excited"], tol=1e-3)[0].numeric_vf
         assert double == pytest.approx(4 * single, rel=1e-12, abs=0)
 
     @settings(max_examples=40, deadline=None, database=None)
@@ -363,7 +365,7 @@ class TestVerifyRates:
     def test_matches_closed_forms_log_uniform(self, log_ratio, log_omega0, level):
         omega0 = 10.0**log_omega0
         rep = oracle.verify_rates(
-            TwoLevelAtom(omega0, level), omega0 * 10.0**log_ratio, 1.0, tol=1e-3
-        )
+            omega0, omega0 * 10.0**log_ratio, 1.0, [level], tol=1e-3
+        )[0]
         assert rep.rel_err_vf < 1e-12
         assert rep.rel_err_cross < 1e-12

@@ -18,7 +18,7 @@ def records():
         TwoLevelAtom(2.0, "excited"),
         rate_total(TwoLevelAtom(2.0, "excited"), 3.0, 0.5),
         WorldlineParams(2.0, 1.0),
-        verify_rates(TwoLevelAtom(1.0), 3.0, 1.0, tol=1e-3),
+        verify_rates(1.0, 3.0, 1.0, ["ground"], tol=1e-3)[0],
         CheckResult("suite", 4, 1e-16, 1e-12),
     ]
 
