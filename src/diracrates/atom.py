@@ -1,5 +1,4 @@
-"""Two-level atom model: the single transition and susceptibility functions."""
-import cmath
+"""Two-level atom model: the levels, the single transition and its weight."""
 import math
 from collections import namedtuple
 
@@ -35,14 +34,3 @@ class TwoLevelAtom(namedtuple("TwoLevelAtom", "omega0 level")):
     @property
     def omega_bd(self) -> float:
         return self.omega0 if self.level == "excited" else -self.omega0
-
-
-def susceptibility_c(omega_bd: float, dtau: complex) -> complex:
-    """Symmetric atomic susceptibility W cos(omega_bd dtau), even in dtau;
-    dtau may be complex."""
-    return CHANNEL_WEIGHT * cmath.cos(omega_bd * dtau)
-
-
-def susceptibility_chi(omega_bd: float, dtau: complex) -> complex:
-    """Antisymmetric i W sin(omega_bd dtau), odd in dtau; sign flips with omega_bd."""
-    return 1j * CHANNEL_WEIGHT * cmath.sin(omega_bd * dtau)

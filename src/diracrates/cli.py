@@ -10,8 +10,8 @@ import sys
 from collections.abc import Callable, Iterator
 
 # `cmd_selfcheck` imports `selfcheck` when called, and `cmd_verify` its
-# `oracle`: `rate` and `sweep` load neither. `json` is imported only where
-# JSON is written.
+# `oracle`: `rate` and `sweep` load neither, nor `cmath`. `json` is imported
+# only where JSON is written.
 from . import __version__, rates
 from .atom import LEVELS, TwoLevelAtom
 

@@ -1,7 +1,7 @@
 """Numerical verification of the closed-form rates by direct quadrature.
 
 Each rate is the paper's DDC integral of the field correlation function
-`correlators.trace_pair` against an `atom` susceptibility C or chi,
+`correlators.trace_pair` against the atom's susceptibility C or chi below,
 -mu^2 omega_bd Re integral trace_pair(dtau) {C, chi}(dtau) ddtau, with the
 trace at a dtau/2 - i0.  Moving the line to Im(a dtau/2) = -s, short of
 the next pole at -i pi, makes the -i0 limit exact; on that line the
@@ -10,13 +10,14 @@ trapezoidal rule converges geometrically (Trefethen & Weideman, SIAM
 Rev. 56, 2014).  The route uses only Cauchy deformation, never the
 residue sums behind the closed forms, so agreement is an independent check.
 """
+import cmath
 import math
 import sys
 from collections import namedtuple
 from collections.abc import Iterable
 
 from . import correlators, rates
-from .atom import TwoLevelAtom, susceptibility_c, susceptibility_chi
+from .atom import CHANNEL_WEIGHT, TwoLevelAtom
 
 # The line is cut off at |u| = _Y, where the envelope 64 e^{-6|u|} falls below
 # _TAIL for every s; the sums grow like 1/sin^5 s, so their tail only shrinks.
@@ -28,6 +29,16 @@ _Y = math.log(64.0 / _TAIL) / 6.0
 # kept until the sums; this many (a/|omega| ~ 4.81e-5): ~0.85 s and a ~55 MB
 # process peak per acceleration, 2-vCPU x86-64 VM.
 _MAX_NODES = 1_000_000
+
+
+def susceptibility_c(omega_bd: float, dtau: complex) -> complex:
+    """Symmetric W cos(omega_bd dtau), even in dtau; dtau may be complex."""
+    return CHANNEL_WEIGHT * cmath.cos(omega_bd * dtau)
+
+
+def susceptibility_chi(omega_bd: float, dtau: complex) -> complex:
+    """Antisymmetric i W sin(omega_bd dtau), odd in dtau; sign flips with omega_bd."""
+    return 1j * CHANNEL_WEIGHT * cmath.sin(omega_bd * dtau)
 
 
 class ConvergenceError(RuntimeError):

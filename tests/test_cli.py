@@ -1394,11 +1394,10 @@ def test_any_float_gives_documented_exit(command, data):
 
 
 # Runs cli.main on each argv of `argvs`, in one fresh interpreter, and
-# prints per step its exit code and which of the watched modules are loaded.
+# prints per step its exit code and which of the `watched` modules are loaded.
 STARTUP_PROBE = """
 import contextlib, io, sys
 def loaded():
-    watched = ("__future__", "dataclasses", "inspect", "json", "numpy", "pathlib", "typing")
     return [m for m in watched if m in sys.modules]
 steps = []
 import diracrates
@@ -1413,16 +1412,20 @@ print(steps)
 """
 
 
-def startup_steps(argvs):
-    """[exit code, which of __future__, dataclasses, inspect, json, numpy,
-    pathlib and typing are loaded] after `import diracrates`, after `import
-    diracrates.cli`, and after each argv in turn, in one fresh interpreter
-    run with -S, so that no `site` hook loads any of them first. The probe
-    itself imports none of them: argvs reach it as a literal and the steps
-    leave it as a repr."""
+WATCHED = ("__future__", "dataclasses", "inspect", "json", "numpy", "pathlib", "typing")
+
+
+def startup_steps(argvs, watched=WATCHED):
+    """[exit code, which of `watched` (by default __future__, dataclasses,
+    inspect, json, numpy, pathlib and typing) are loaded] after `import
+    diracrates`, after `import diracrates.cli`, and after each argv in turn,
+    in one fresh interpreter run with -S, so that no `site` hook loads any
+    of them first. The probe itself imports none of them: argvs and watched
+    reach it as literals and the steps leave it as a repr."""
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    literals = f"argvs = {argvs!r}\nwatched = {watched!r}\n"
     proc = subprocess.run(
-        [sys.executable, "-S", "-c", f"argvs = {argvs!r}\n{STARTUP_PROBE}"],
+        [sys.executable, "-S", "-c", literals + STARTUP_PROBE],
         capture_output=True, text=True, env=env, check=True,
     )
     return ast.literal_eval(proc.stdout)
@@ -1495,6 +1498,24 @@ print([code, len(forks), [m for m in unwanted if m in sys.modules]])
         verify = ["verify", "--accel", "1"]
         steps = startup_steps([verify, verify + ["--format", "json"]])
         assert steps == [[0, []], [0, []], [0, []], [0, ["json"]]]
+
+    def test_cmath_and_clifford_load_only_where_evaluated(self):
+        # The closed-form core runs on math alone: only the oracle, with the
+        # trace it integrates, loads cmath. The correlators that verify reads
+        # do not load clifford, which only selfcheck evaluates.
+        watched = ("cmath", "diracrates.clifford")
+        rate = ["rate", "--accel", "3"]
+        argvs = [rate + ["--format", f] for f in ("human", "csv", "json")]
+        argvs.append(["sweep", "--accel-max", "10", "--points", "5", "--scale", "linear"])
+        argvs.append(["verify", "--accel", "1"])
+        steps = startup_steps(argvs, watched)
+        assert steps == [[0, []]] * 6 + [[0, ["cmath"]]]
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+        probe = (f"import sys, diracrates.correlators\n"
+                 f"print([m for m in {watched!r} if m in sys.modules])")
+        proc = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True,
+                              text=True, env=env, check=True)
+        assert ast.literal_eval(proc.stdout) == ["cmath"]
 
     def test_selfcheck_loads_nothing(self):
         # The Clifford algebra runs on tuples of complex: no watched module

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from diracrates import correlators as co
-from diracrates.correlators import SingularIntervalError, WorldlineParams
+from diracrates.correlators import WorldlineParams
+from diracrates.selfcheck import SingularIntervalError, g_matrix_from_worldline
 
 PI2 = math.pi**2
 PI4 = math.pi**4
@@ -60,7 +61,7 @@ class TestGMatrix:
         from diracrates import clifford
 
         p = WorldlineParams(accel=1.0, epsilon=1e-4)
-        g = np.array(co.g_matrix_from_worldline(1.0, 0.0, p))
+        g = np.array(g_matrix_from_worldline(1.0, 0.0, p))
         scalar = g[0, 0]
         np.testing.assert_allclose(
             g, scalar * np.array(clifford.gamma_matrix(0)), atol=1e-13 * abs(scalar)
@@ -70,7 +71,7 @@ class TestGMatrix:
         from diracrates import clifford
 
         p = WorldlineParams(accel=1.0, epsilon=1e-4)
-        g = np.array(co.g_matrix_from_worldline(1.0, 0.0, p))
+        g = np.array(g_matrix_from_worldline(1.0, 0.0, p))
         d = _dwightman_dz(_interval_z(1.0, p))
         assert np.trace(np.array(clifford.gamma_matrix(0)) @ g) == pytest.approx(
             -4 * d, rel=1e-13
@@ -80,8 +81,8 @@ class TestGMatrix:
         from diracrates import clifford
 
         p = WorldlineParams(accel=1.0, epsilon=1e-4)
-        g_shifted = np.array(co.g_matrix_from_worldline(3.0, 2.0, p))
-        g_base = np.array(co.g_matrix_from_worldline(1.0, 0.0, p))
+        g_shifted = np.array(g_matrix_from_worldline(3.0, 2.0, p))
+        g_base = np.array(g_matrix_from_worldline(1.0, 0.0, p))
         # -gamma^0 dG/dz, G = 1/(4 pi^2 z^2), at z(1.0)
         g_closed = -_dwightman_dz(_interval_z(1.0, p)) * np.array(
             clifford.gamma_matrix(0)
@@ -176,12 +177,12 @@ class TestNonFiniteTime:
     def test_g_matrix_from_worldline(self, t):
         p = WorldlineParams(1.0, 1e-4)
         with pytest.raises(ValueError, match=r"^tau must be finite, got "):
-            co.g_matrix_from_worldline(t, 0.0, p)
+            g_matrix_from_worldline(t, 0.0, p)
         with pytest.raises(ValueError, match=r"^tau_p must be finite, got "):
-            co.g_matrix_from_worldline(0.5, t, p)
+            g_matrix_from_worldline(0.5, t, p)
         # Both bad: the first time is named.
         with pytest.raises(ValueError, match=r"^tau must be finite, got "):
-            co.g_matrix_from_worldline(t, t, p)
+            g_matrix_from_worldline(t, t, p)
 
     def test_complex_times_still_accepted(self):
         # The oracle's lines and the regulated matrix route pass complex times.
@@ -195,7 +196,7 @@ class TestSingularPoints:
         # epsilon = 1e-300, so the two trajectory points coincide.
         p = WorldlineParams(1.0, 1e-300)
         with pytest.raises(SingularIntervalError, match="^coincident trajectory"):
-            co.g_matrix_from_worldline(0.3, 0.3, p)
+            g_matrix_from_worldline(0.3, 0.3, p)
         # sinh(a dtau/2 - i epsilon)^6 underflows to 0 at the light cone ...
         with pytest.raises(ZeroDivisionError):
             co.trace_pair(0.0, p)

@@ -17,7 +17,8 @@ from pathlib import Path
 
 import pytest
 
-from diracrates import atom, cli, correlators, oracle, rates, selfcheck
+import diracrates
+from diracrates import atom, cli, oracle, rates, selfcheck
 from diracrates.atom import TwoLevelAtom
 
 
@@ -77,7 +78,7 @@ MUTANTS = {
     "planck-exponent": (
         literal("2.0 * math.pi * w", "2.0 * math.pi * w * 1.001"), 0, 3, CLOSED_FORM),
     "channel-weight-0.2501": (
-        constant("CHANNEL_WEIGHT", 0.2501, [atom, rates]), 0, 0, SHARED),
+        constant("CHANNEL_WEIGHT", 0.2501, [atom, rates, oracle]), 0, 0, SHARED),
 }
 
 
@@ -117,7 +118,7 @@ def test_selfcheck_sees_two_point_gamma1(monkeypatch, capsys):
     # unseen; shifted to aT = 1 it moves the trace by ~3e-6, above 1e-10.
     literal("-dx / (2.0 * _PI2 * sigma * sigma)",
             "-dx / (2.000002 * _PI2 * sigma * sigma)",
-            correlators, [selfcheck])(monkeypatch)
+            selfcheck, [diracrates])(monkeypatch)
     assert cli.main(["selfcheck"]) == 4
     captured = capsys.readouterr()
     assert captured.err == "identity violated: two-point matrix vs trace\n"

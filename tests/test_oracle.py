@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diracrates import correlators, oracle, rates
-from diracrates.atom import TwoLevelAtom, susceptibility_c, susceptibility_chi
-from diracrates.oracle import ConvergenceError
+from diracrates.atom import TwoLevelAtom
+from diracrates.oracle import ConvergenceError, susceptibility_c, susceptibility_chi
 
 QUADRATURE_KEYS = {
     "s", "h", "nodes", "Y", "error_estimate_vf", "error_estimate_cross"
@@ -186,6 +186,44 @@ class TestCutOff:
         s = math.pi / 2
         former_grid = {"s": s, "h": 0.1 * s, "nodes": 93, "Y": y_of_s(s)}
         assert oracle._line_sums(omega0, a) == (t_h, t_2h, former_grid)
+
+
+def half_step_sums(omega0, a):
+    """The [vf, cross] sums of the oracle's line at step h/2, out to its last
+    node at step h (the first past oracle._Y), with the test's own node loop."""
+    s = min(math.pi / 2, 3.0 * a / omega0)
+    h = 0.1 * s
+    n = math.ceil(oracle._Y / (2.0 * h))
+    line = correlators.WorldlineParams(2.0, epsilon=s)
+    w = 2.0 * omega0 / a
+    vf, cross = [], []
+    for k in range(4 * n + 1):
+        u = k * (0.5 * h)
+        g = correlators.trace_pair(u, line)
+        z = u - 1j * s
+        vf.append((g * susceptibility_c(w, z)).real)
+        cross.append((g * susceptibility_chi(w, z)).real)
+    return [0.5 * h * (f[0] + 2.0 * math.fsum(f[1:])) for f in (vf, cross)]
+
+
+# a/omega0 in quarter decades from 10^-2.5 to 10^6, and pi/6, where s reaches
+# pi/2 and |T_h - T_2h|/|T_h| peaks at ~2e-6.
+BOUND_RATIOS = [10.0 ** (q / 4) for q in range(-10, 25)] + [math.pi / 6]
+
+
+class TestSquaredEstimateBound:
+    """The error of T_h falls like e^{-2 pi d/h} (Trefethen & Weideman), so
+    halving h about squares it: the relative |T_h - T_2h| squared, plus a
+    rounding floor, bounds T_h's own error, measured against T_{h/2}."""
+
+    @pytest.mark.parametrize("omega0", [0.37, 1.0, 8.0])
+    def test_bounds_half_step_difference(self, omega0):
+        for ratio in BOUND_RATIOS:
+            a = ratio * omega0
+            t_h, t_2h, _ = oracle._line_sums(omega0, a)
+            for t, t2, t_half in zip(t_h, t_2h, half_step_sums(omega0, a)):
+                bound = (abs(t - t2) / abs(t)) ** 2 + 1e-14
+                assert abs(t - t_half) / abs(t) <= bound, (omega0, ratio)
 
 
 class TestVfIntegral:

@@ -25,7 +25,10 @@ MODULE_ONLY = {
     "OracleReport": "oracle",
     "WorldlineParams": "correlators",
     "boost_matrix": "clifford",
+    "g_matrix_from_worldline": "selfcheck",
     "gamma_matrix": "clifford",
+    "susceptibility_c": "oracle",
+    "susceptibility_chi": "oracle",
     "trace_pair": "correlators",
     "verify_rates": "oracle",
 }
