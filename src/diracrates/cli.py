@@ -376,6 +376,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Runs one request and returns its exit code; it raises no SystemExit."""
+    if sys.stderr is None:  # as by `2>&-`: messages go nowhere, not to stdout
+        sys.stderr = open(os.devnull, "w")
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
@@ -383,10 +386,16 @@ def main(argv: list[str] | None = None) -> int:
         if sys.stdout is None and getattr(args, "output", None) is None:
             raise OSError("stdout is closed")  # as by `>&-`
         return args.func(args)
+    except SystemExit as exc:  # argparse, after its usage error or -h
+        return exc.code
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        message, code = exc, EXIT_IO
     except ValueError as exc:
-        parser.exit(EXIT_USAGE, f"error: {exc}\n")
+        message, code = exc, EXIT_USAGE
     except OverflowError as exc:
-        parser.exit(EXIT_USAGE, f"error: result out of double range ({exc})\n")
+        message, code = f"result out of double range ({exc})", EXIT_USAGE
+    try:
+        print(f"error: {message}", file=sys.stderr)
+    except OSError:  # an unwritable stderr, as `2>/dev/full`: the line is dropped
+        pass
+    return code

@@ -24,6 +24,10 @@ from diracrates import cli, oracle, rates
 from diracrates.atom import TwoLevelAtom
 
 
+# Subprocesses import the package from this tree's src, whatever the cwd.
+SRC_ENV = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+
+
 def run_cli(argv):
     return cli.main(argv)
 
@@ -205,14 +209,10 @@ class TestRate:
         assert negative == capsys.readouterr().out
 
     def test_usage_error_exit_2(self, capsys):
-        with pytest.raises(SystemExit) as err:
-            run_cli(["rate", "--omega0", "not-a-number"])
-        assert err.value.code == 2
+        assert run_cli(["rate", "--omega0", "not-a-number"]) == 2
 
     def test_invalid_value_exit_2(self, capsys):
-        with pytest.raises(SystemExit) as err:
-            run_cli(["rate", "--omega0", "-1"])
-        assert err.value.code == 2
+        assert run_cli(["rate", "--omega0", "-1"]) == 2
 
 
 class TestSweep:
@@ -402,12 +402,9 @@ class TestSweep:
     def test_error_leaves_no_output(self, tmp_path):
         # The rates overflow part-way through the grid.
         out = tmp_path / "sweep.csv"
-        with pytest.raises(SystemExit) as err:
-            run_cli(
-                ["sweep", "--accel-min", "0", "--accel-max", "1e3", "--points", "5",
-                 "--coupling", "1e150", "--output", str(out)]
-            )
-        assert err.value.code == 2
+        argv = ["sweep", "--accel-min", "0", "--accel-max", "1e3", "--points", "5",
+                "--coupling", "1e150", "--output", str(out)]
+        assert run_cli(argv) == 2
         assert not out.exists()
 
     def test_io_failure_exit_1(self, tmp_path, capsys):
@@ -426,9 +423,9 @@ class TestSweep:
         assert captured.out == ""
         assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
-    def test_missing_range_is_usage_error(self):
-        with pytest.raises(SystemExit):
-            run_cli(["sweep", "--accel-min", "0", "--points", "2"])
+    def test_missing_range_is_usage_error(self, capsys):
+        assert run_cli(["sweep", "--accel-min", "0", "--points", "2"]) == 2
+        assert capsys.readouterr().err.startswith("usage: diracrates sweep")
 
 
 def no_child_left():
@@ -505,7 +502,7 @@ class TestSweepSplit:
                                     tmp_path, capsys):
         out = tmp_path / "sweep.csv"
         argv = ["sweep", "--points", str(self.N + 1), "--output", str(out)] + argv
-        assert main_exit(argv) == 2
+        assert run_cli(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (
@@ -545,9 +542,9 @@ class TestSweepSplit:
         monkeypatch.setattr(os, "fork", sleepy_fork)
         out = tmp_path / "sweep.csv"
         start = time.monotonic()
-        code = main_exit(["sweep", "--accel-min", "1e3", "--accel-max", "2e3",
-                          "--points", str(self.N), "--coupling", "1e150",
-                          "--output", str(out)])
+        code = run_cli(["sweep", "--accel-min", "1e3", "--accel-max", "2e3",
+                        "--points", str(self.N), "--coupling", "1e150",
+                        "--output", str(out)])
         assert time.monotonic() - start < 30
         assert code == 2
         assert capsys.readouterr().err == (
@@ -645,9 +642,8 @@ def recording(amin, amax, points, scale, indices):
 cli._sweep_grid = recording
 print([cli.main({argv!r}), ranges])
 """
-        env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
         proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
-                              text=True, env=env, check=True)
+                              text=True, env=SRC_ENV, check=True)
         n = self.N + 1
         assert ast.literal_eval(proc.stdout) == [0, [(0, n // 2)]]
         assert out.read_bytes() == self.reference(1.0, 0.1, 1e4, n, "log", "excited",
@@ -671,8 +667,7 @@ def marking_start(self):
 threading.Thread.start = marking_start
 sys.exit(cli.main({argv!r}))
 """
-        env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
-        subprocess.run([sys.executable, "-c", probe], env=env, check=True)
+        subprocess.run([sys.executable, "-c", probe], env=SRC_ENV, check=True)
         assert out.read_text().count("\n") == self.N + 1
         assert not marker.exists()
 
@@ -697,10 +692,9 @@ def reporting_fork():
 os.fork = reporting_fork
 sys.exit(cli.main({argv!r}))
 """
-        env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
         r, w = os.pipe()
         try:
-            proc = subprocess.Popen([sys.executable, "-c", probe], env=env,
+            proc = subprocess.Popen([sys.executable, "-c", probe], env=SRC_ENV,
                                     stdout=subprocess.PIPE, pass_fds=[w])
         finally:
             os.close(w)
@@ -869,7 +863,7 @@ class TestVerify:
         grid = {"s": 1.0, "h": 0.1, "nodes": 1, "Y": 1.0}
         monkeypatch.setattr(oracle, "_line_sums",
                             lambda omega0, a: ([1e308] * 2, [1e308] * 2, grid))
-        assert main_exit(["verify", "--accel", "1e3", "--format", "json"]) == 2
+        assert run_cli(["verify", "--accel", "1e3", "--format", "json"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (
@@ -997,9 +991,7 @@ class TestConfigFile:
     def test_help_does_not_read_config(self, help_first, tmp_path, capsys):
         config = ["--config", str(tmp_path / "missing.cfg")]
         argv = ["rate"] + (["-h"] + config if help_first else config + ["--help"])
-        with pytest.raises(SystemExit) as exc:
-            run_cli(argv)
-        assert exc.value.code == 0
+        assert run_cli(argv) == 0
         captured = capsys.readouterr()
         assert captured.out.startswith("usage: diracrates rate")
         assert captured.err == ""
@@ -1082,9 +1074,7 @@ class TestConfigFile:
     def test_config_checked_like_flags(self, command, line, named, tmp_path, capsys):
         cfg = tmp_path / "recipe.cfg"
         cfg.write_text(line + "\n")
-        with pytest.raises(SystemExit) as err:
-            run_cli(command + ["--config", str(cfg)])
-        assert err.value.code == 2
+        assert run_cli(command + ["--config", str(cfg)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert named in captured.err.splitlines()[-1]
@@ -1092,9 +1082,7 @@ class TestConfigFile:
     def test_bad_config_line_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "recipe.cfg"
         cfg.write_text("omega0 = 2\njusttext\n")
-        with pytest.raises(SystemExit) as err:
-            run_cli(["rate", "--config", str(cfg)])
-        assert err.value.code == 2
+        assert run_cli(["rate", "--config", str(cfg)]) == 2
         assert capsys.readouterr().err == "error: bad config line: 'justtext'\n"
 
     @pytest.mark.parametrize("line", ["config = inner.cfg", "conf = inner.cfg"])
@@ -1102,9 +1090,7 @@ class TestConfigFile:
         # Refused, not ignored: the inner file is neither read nor needed.
         cfg = tmp_path / "recipe.cfg"
         cfg.write_text(f"omega0 = 2\n{line}\n")
-        with pytest.raises(SystemExit) as err:
-            run_cli(["rate", "--config", str(cfg)])
-        assert err.value.code == 2
+        assert run_cli(["rate", "--config", str(cfg)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (
@@ -1115,9 +1101,7 @@ class TestConfigFile:
         # co could be coupling or config: argparse's usage error, as for --co.
         cfg = tmp_path / "recipe.cfg"
         cfg.write_text("co = 1\n")
-        with pytest.raises(SystemExit) as err:
-            run_cli(["rate", "--config", str(cfg)])
-        assert err.value.code == 2
+        assert run_cli(["rate", "--config", str(cfg)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("usage: diracrates rate")
@@ -1173,9 +1157,7 @@ class TestConfigFile:
 def test_flags_a_command_does_not_read_exit_2(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "recipe.cfg").write_text("omega0 = 2\n")
-    with pytest.raises(SystemExit) as err:
-        run_cli(argv)
-    assert err.value.code == 2
+    assert run_cli(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("usage: diracrates")
@@ -1234,27 +1216,16 @@ BAD_NUMBERS = [
     "argv, overflow", BAD_NUMBERS, ids=[f"argv{i}" for i in range(len(BAD_NUMBERS))]
 )
 def test_bad_number_exit_2(argv, overflow, capsys):
-    # A traceback here would surface as an exception other than SystemExit.
     # sweep has no --format flag; it always writes CSV.
     if argv[0] != "sweep":
         argv = argv + ["--format", "json"]
-    with pytest.raises(SystemExit) as err:
-        run_cli(argv)
-    assert err.value.code == 2
+    assert run_cli(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
     if overflow:
         assert captured.err.endswith("out of double range)\n")
         assert "(34," not in captured.err
-
-
-def main_exit(argv):
-    """Exit code of cli.main, whether returned or raised as SystemExit."""
-    try:
-        return run_cli(argv)
-    except SystemExit as exc:
-        return exc.code
 
 
 @pytest.mark.parametrize(
@@ -1270,7 +1241,7 @@ def test_readme_error_shapes(argv, code, usage, tmp_path, monkeypatch, capsys):
     # README: value, overflow and I/O errors print one `error:` line;
     # argparse usage errors print a usage block, then `<prog>: error: ...`.
     monkeypatch.chdir(tmp_path)
-    assert main_exit(argv) == code
+    assert run_cli(argv) == code
     err = capsys.readouterr().err
     if usage:
         lines = err.splitlines()
@@ -1290,7 +1261,7 @@ def test_unknown_flag_error_shape(config, tmp_path, monkeypatch, capsys):
         argv, named = ["rate", "--config", "recipe.cfg"], "--foo=1"
     else:
         argv, named = ["rate", "--foo", "1"], "--foo 1"
-    assert main_exit(argv) == 2
+    assert run_cli(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [
@@ -1339,7 +1310,7 @@ def test_unknown_flag_error_shape(config, tmp_path, monkeypatch, capsys):
 )
 def test_error_precedence(argv, message, capsys):
     # The first failing check names the error, as it always has.
-    assert main_exit(argv) == 2
+    assert run_cli(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == message
@@ -1362,10 +1333,9 @@ NUMERIC_FLAGS = {
 @given(data=st.data())
 def test_any_float_gives_documented_exit(command, data):
     # Each numeric flag is omitted or takes any float (nan, inf and
-    # subnormals included), alone or in combination.  A traceback would
-    # surface here as an exception other than SystemExit.  The format is
-    # one the command takes and sweep's required --accel-max is always
-    # given, so that no example stops at argparse for want of a flag.
+    # subnormals included), alone or in combination.  The format is one
+    # the command takes and sweep's required --accel-max is always given,
+    # so that no example stops at argparse for want of a flag.
     fmt = data.draw(st.sampled_from(FORMATS[command]), label="--format")
     argv = [command] if fmt is None else [command, "--format", fmt]
     if command == "sweep":
@@ -1381,10 +1351,7 @@ def test_any_float_gives_documented_exit(command, data):
             argv.append(f"{flag}={value!r}")
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = cli.main(argv)
-        except SystemExit as exc:
-            code = exc.code
+        code = run_cli(argv)
     assert code in (0, 1, 2, 3, 4)
     if code in (1, 2):
         assert err.getvalue().startswith(("error:", "usage:"))
@@ -1422,11 +1389,10 @@ def startup_steps(argvs, watched=WATCHED):
     in one fresh interpreter run with -S, so that no `site` hook loads any
     of them first. The probe itself imports none of them: argvs and watched
     reach it as literals and the steps leave it as a repr."""
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
     literals = f"argvs = {argvs!r}\nwatched = {watched!r}\n"
     proc = subprocess.run(
         [sys.executable, "-S", "-c", literals + STARTUP_PROBE],
-        capture_output=True, text=True, env=env, check=True,
+        capture_output=True, text=True, env=SRC_ENV, check=True,
     )
     return ast.literal_eval(proc.stdout)
 
@@ -1487,9 +1453,8 @@ code = cli.main({argv!r})
 unwanted = ("subprocess", "multiprocessing", "concurrent", "typing")
 print([code, len(forks), [m for m in unwanted if m in sys.modules]])
 """
-        env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
         proc = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True,
-                              text=True, env=env, check=True)
+                              text=True, env=SRC_ENV, check=True)
         assert ast.literal_eval(proc.stdout) == [0, 1, []]
 
     def test_verify_loads_only_json(self):
@@ -1510,11 +1475,10 @@ print([code, len(forks), [m for m in unwanted if m in sys.modules]])
         argvs.append(["verify", "--accel", "1"])
         steps = startup_steps(argvs, watched)
         assert steps == [[0, []]] * 6 + [[0, ["cmath"]]]
-        env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
         probe = (f"import sys, diracrates.correlators\n"
                  f"print([m for m in {watched!r} if m in sys.modules])")
         proc = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True,
-                              text=True, env=env, check=True)
+                              text=True, env=SRC_ENV, check=True)
         assert ast.literal_eval(proc.stdout) == ["cmath"]
 
     def test_selfcheck_loads_nothing(self):
@@ -1526,11 +1490,10 @@ print([code, len(forks), [m for m in unwanted if m in sys.modules]])
 
 class TestEntryPoint:
     def test_module_invocation(self):
-        env = dict(os.environ, PYTHONPATH="src")
         proc = subprocess.run(
             [sys.executable, "-m", "diracrates", "rate", "--omega0", "1",
              "--accel", "0", "--state", "ground", "--format", "json"],
-            capture_output=True, text=True, env=env,
+            capture_output=True, text=True, env=SRC_ENV,
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["rate_total"] == 0.0
@@ -1551,11 +1514,45 @@ class TestEntryPoint:
     def test_closed_stdout(self, argv, code, err, tmp_path):
         # With fd 1 closed, as by `>&-`, sys.stdout is None: a command that
         # prints exits 1 with one error line, as when a write to stdout fails.
-        env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
         proc = subprocess.run(
             [sys.executable, "-m", "diracrates", *argv], stderr=subprocess.PIPE,
-            text=True, env=env, cwd=tmp_path, preexec_fn=lambda: os.close(1),
+            text=True, env=SRC_ENV, cwd=tmp_path, preexec_fn=lambda: os.close(1),
         )
         assert (proc.returncode, proc.stderr) == (code, err)
         if "--output" in argv:
             assert (tmp_path / "sweep.csv").read_text().count("\n") == 4
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [(["rate", "--config", "missing.cfg"], 1), (["rate", "--accel", "nan"], 2),
+         (["rate", "--format", "xml"], 2), (["rate", "--format", "json"], 0)],
+        ids=["io", "value", "usage", "json"],
+    )
+    def test_closed_stderr(self, argv, code, tmp_path, monkeypatch, capsys):
+        # With fd 2 closed, as by `2>&-`, sys.stderr is None: messages go
+        # nowhere, and stdout carries only what it carries with stderr open.
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(argv) == code
+        out = capsys.readouterr().out
+        assert (out == "") == (code != 0)
+        proc = subprocess.run(
+            [sys.executable, "-m", "diracrates", *argv], stdout=subprocess.PIPE,
+            text=True, env=SRC_ENV, preexec_fn=lambda: os.close(2),
+        )
+        assert (proc.returncode, proc.stdout) == (code, out)
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [(["rate", "-h"], 0), (["rate", "--format", "xml"], 2),
+         (["rate", "--accel", "nan"], 2),
+         (["rate", "--accel", "1", "--coupling", "4.23e160"], 2),
+         (["rate", "--config", "missing.cfg"], 1)],
+    )
+    def test_main_returns_every_code(self, argv, code, tmp_path, monkeypatch, capsys):
+        # In process, cli.main returns each exit code, raising no SystemExit;
+        # an `error:` line it cannot write, as to `2>/dev/full`, is dropped.
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(argv) == code
+        if capsys.readouterr().err.startswith("error:"):
+            with open(os.devnull) as read_only, contextlib.redirect_stderr(read_only):
+                assert cli.main(argv) == code

@@ -7,7 +7,8 @@ import pytest
 
 from diracrates import correlators as co
 from diracrates.correlators import WorldlineParams
-from diracrates.selfcheck import SingularIntervalError, g_matrix_from_worldline
+from diracrates.selfcheck import (SingularIntervalError, _trace_grid,
+                                  g_matrix_from_worldline)
 
 PI2 = math.pi**2
 PI4 = math.pi**4
@@ -90,6 +91,21 @@ class TestGMatrix:
         scale = np.max(np.abs(g_closed))
         assert np.max(np.abs(g_shifted - g_base)) / scale < 1e-12
         assert np.max(np.abs(g_shifted - g_closed)) / scale < 1e-12
+
+    @pytest.mark.parametrize("eps", [1e-4, 0.01, 0.3, math.pi / 6, 1.0, math.pi / 2])
+    @pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
+    def test_trace_on_oracle_contour(self, a, eps):
+        # The oracle evaluates trace_pair at epsilon = s in (0, pi/2] and from
+        # dtau = 0; selfcheck's two-point suite only at epsilon <= 1e-3 and
+        # dtau >= 0.05/a. Tr[g g] at T +- dtau/2 with aT = 1, on the suite's
+        # dtau and 0, must give the trace there too, to the suite's tolerance.
+        dtaus = {0.0} | {dtau for p, dtau in _trace_grid() if p.accel == a}
+        assert len(dtaus) == 61
+        p, t = WorldlineParams(a, eps), 1.0 / a
+        for dtau in sorted(dtaus):
+            g = np.array(g_matrix_from_worldline(t + 0.5 * dtau, t - 0.5 * dtau, p))
+            assert np.trace(g @ g) == pytest.approx(co.trace_pair(dtau, p),
+                                                    rel=1e-10, abs=0)
 
 
 class TestTracePair:
